@@ -45,8 +45,6 @@ def _add_common(p):
     p.add_argument("--config", help="key=value file of flag defaults")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="fixed reduction order (always on in this implementation)")
     p.add_argument("--precision", choices=("32", "64"), default="32")
     p.add_argument("--pretokenized", action="store_true",
                    help="input lines are already space-separated tokens")
@@ -158,11 +156,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv):
+def _apply_config(parser, args, argv):
+    """Fill flags not given on the command line from the --config file,
+    parsing each value with its flag's own type and choices."""
     if not getattr(args, "config", None):
         return
     text = corpus._read_text(args.config)
-    explicit = set(argv)
+    explicit = {arg.partition("=")[0] for arg in argv}
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    appended = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -171,19 +174,23 @@ def _apply_config(args, argv):
         key = key.strip()
         value = value.strip()
         flag = f"--{key}"
-        dest = key.replace("-", "_")
-        if flag in explicit or not hasattr(args, dest):
+        action = sub._option_string_actions.get(flag)
+        if flag in explicit or action is None or action.dest == argparse.SUPPRESS:
             continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            parsed = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            parsed = int(value)
-        elif isinstance(current, float):
-            parsed = float(value)
-        else:
-            parsed = value
-        setattr(args, dest, parsed)
+        if action.nargs == 0:  # on/off switches
+            setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
+            continue
+        try:
+            parsed = action.type(value) if action.type is not None else value
+        except (TypeError, ValueError):
+            _usage(f"{args.config}: invalid value for {key}: {value!r}")
+        if action.choices is not None and parsed not in action.choices:
+            _usage(f"{args.config}: {key} must be one of "
+                   f"{', '.join(map(str, action.choices))}, not {value!r}")
+        if isinstance(action, argparse._AppendAction):  # repeated lines add up
+            appended.setdefault(action.dest, []).append(parsed)
+            parsed = appended[action.dest]
+        setattr(args, action.dest, parsed)
 
 
 def _set_precision_flag(args):
@@ -218,6 +225,9 @@ def load_word_vectors(path, vocab, scale=1.0):
     return data, found
 
 
+_BRANCH_DIRECTIONS = {"fwd": "forward", "bwd": "backward", "bi": "bidirectional"}
+
+
 def _parse_branch_spec(text, vocab_size, default_pool, gen):
     kind, _, rest = text.partition(":")
     opts = {}
@@ -225,25 +235,32 @@ def _parse_branch_spec(text, vocab_size, default_pool, gen):
         for item in rest.split(","):
             key, _, value = item.partition("=")
             opts[key.strip()] = value.strip()
-    pooling = model_mod.PoolingSpec(opts.get("pool", default_pool.kind),
-                                    int(opts.get("k", default_pool.regions)))
-    if kind == "conv":
-        params = conv_mod.ConvParams.create(
-            int(opts.get("maps", 100)), int(opts.get("region", 3)),
-            opts.get("kind", "seq"), vocab_size, gen)
-        return model_mod.ConvBranch(pooling, params)
-    if kind == "lstm":
-        direction = {"fwd": "forward", "bwd": "backward", "bi": "bidirectional"}[
-            opts.get("dir", "bi")]
+    if kind not in ("conv", "lstm"):
+        _usage(f"unknown branch type {kind!r} in --branch {text!r}")
+    try:
+        pooling = model_mod.PoolingSpec(opts.get("pool", default_pool.kind),
+                                        int(opts.get("k", default_pool.regions)))
+        if kind == "conv":
+            params = conv_mod.ConvParams.create(
+                int(opts.get("maps", 100)), int(opts.get("region", 3)),
+                opts.get("kind", "seq"), vocab_size, gen)
+            return model_mod.ConvBranch(pooling, params)
+        dir_name = opts.get("dir", "bi")
+        if dir_name not in _BRANCH_DIRECTIONS:
+            raise ValueError(f"dir must be one of {', '.join(_BRANCH_DIRECTIONS)}")
+        direction = _BRANCH_DIRECTIONS[dir_name]
         units = int(opts.get("units", 100))
         variant = opts.get("variant", "simplified")
+        if variant not in lstm_mod.GATES:
+            raise ValueError(f"variant must be one of {', '.join(lstm_mod.GATES)}")
         fwd = bwd = None
         if direction in ("forward", "bidirectional"):
             fwd = lstm_mod.LstmParams.create(variant, units, vocab_size, "one-hot", gen)
         if direction in ("backward", "bidirectional"):
             bwd = lstm_mod.LstmParams.create(variant, units, vocab_size, "one-hot", gen)
         return model_mod.LstmBranch(direction, pooling, fwd, bwd)
-    raise DataError(f"unknown branch type {kind!r} in {text!r}")
+    except ValueError as exc:
+        _usage(f"bad --branch {text!r}: {exc}")
 
 
 def _check_train_flags(args):
@@ -343,7 +360,7 @@ def _train_config(args):
         rmsprop_decay=args.rmsprop_decay, rmsprop_eps=args.rmsprop_eps,
         minibatch=args.minibatch, epochs=args.epochs, chop_len=args.chop,
         chop_overlap=args.overlap, dropout_rate=args.dropout, seed=args.seed,
-        dev_fraction=args.dev_fraction, workers=args.workers,
+        workers=args.workers,
     )
 
 
@@ -431,15 +448,8 @@ def cmd_eval(args):
         raise DataError(f"{args.model}: model carries no vocabulary")
     dataset = corpus.load_dataset(args.test, args.labels, spec.vocab,
                                   spec.class_names, args.pretokenized)
-    err = model_mod.error_rate(spec, dataset, workers=args.workers)
-    print(f"error_rate={err:.4f}")
-    counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
-    for lo in range(0, len(dataset.docs), 512):
-        chunk = dataset.docs[lo:lo + 512]
-        scores = model_mod.batch_scores(spec, chunk, workers=args.workers)
-        preds = np.argmax(scores, axis=0)
-        for doc, pred in zip(chunk, preds):
-            counts[doc.label, pred] += 1
+    counts = model_mod.confusion(spec, dataset, workers=args.workers)
+    print(f"error_rate={model_mod.percent_wrong(counts):.4f}")
     for true_id, name in enumerate(spec.class_names):
         row = " ".join(f"{spec.class_names[p]}={counts[true_id, p]}"
                        for p in range(spec.n_classes) if counts[true_id, p])
@@ -502,7 +512,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

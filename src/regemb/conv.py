@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .lstm import SideInputParams
-from .numkernel import RngSpec, gaussian_init, relu, scatter_add_columns
+from .numkernel import ColumnGrad, RngSpec, gaussian_init, relu, scatter_add_columns
 
 INIT_STD = 0.01
 
@@ -64,14 +64,9 @@ class ConvParams:
 
 @dataclass
 class ConvGrads:
-    w: np.ndarray
+    w: ColumnGrad  # only the columns of the region's words are nonzero
     b: np.ndarray
     side: list
-
-    @classmethod
-    def zeros_like(cls, params: ConvParams) -> "ConvGrads":
-        return cls(np.zeros_like(params.w), np.zeros_like(params.b),
-                   [{CONV_GATE: np.zeros_like(s.w[CONV_GATE])} for s in params.side])
 
 
 def _offset_weights(params, offset):
@@ -119,18 +114,19 @@ def backward_from_mask(params, ids_or_seq, mask, upstream, side_seq=None,
     """Gradients given the relu pass-through mask (pre-activation > 0)."""
     ids = _as_ids(ids_or_seq)
     total = len(ids)
-    grads = ConvGrads.zeros_like(params)
     if side_seq is None:
         side_seq = []
     dpre = np.asarray(upstream, dtype=params.dtype) * mask
+    # offset o of a seq region reads column o*vocab + id; bow reads column id
+    stride = params.vocab_size if params.input_kind == "seq" else 0
+    col_ids = [offset * stride + ids[offset:]
+               for offset in range(min(params.region_size, total))]
+    w_grad = ColumnGrad.over(params.w.shape, col_ids, params.dtype)
+    for offset, cols in enumerate(col_ids):
+        scatter_add_columns(w_grad.block, w_grad.slots(cols), dpre[:, :total - offset])
+    grads = ConvGrads(w_grad, np.zeros_like(params.b),
+                      [{CONV_GATE: np.zeros_like(s.w[CONV_GATE])} for s in params.side])
     grads.b += dpre.sum(axis=1)
-    v = params.vocab_size
-    for offset in range(params.region_size):
-        if offset >= total:
-            break
-        block = grads.w if params.input_kind == "bow" else \
-            grads.w[:, offset * v:(offset + 1) * v]
-        scatter_add_columns(block, ids[offset:], dpre[:, :total - offset])
     side_value_grads = [] if want_side_values_grad else None
     for j, sv in enumerate(side_seq):
         sv = np.asarray(sv, dtype=params.dtype)

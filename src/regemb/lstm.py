@@ -26,6 +26,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .numkernel import (
+    ColumnGrad,
     RngSpec,
     SparseVector,
     affine_dense,
@@ -129,15 +130,17 @@ class GateOverride:
 
 @dataclass
 class LstmGrads:
-    wx: dict
+    wx: dict  # gate -> ColumnGrad (one-hot cells) or dense matrix
     wh: dict
     bias: dict
     side: list  # per side channel: gate -> matrix
 
     @classmethod
     def zeros_like(cls, params: LstmParams) -> "LstmGrads":
+        one_hot = params.input_kind == "one-hot"
         return cls(
-            {g: np.zeros_like(m) for g, m in params.wx.items()},
+            {g: ColumnGrad.over(m.shape, [], m.dtype) if one_hot else np.zeros_like(m)
+             for g, m in params.wx.items()},
             {g: np.zeros_like(m) for g, m in params.wh.items()},
             {g: np.zeros_like(v) for g, v in params.bias.items()},
             [{g: np.zeros_like(m) for g, m in s.w.items()} for s in params.side],
@@ -435,10 +438,15 @@ def batch_backward(cache, upstreams, want_side_values_grad=False, want_input_gra
                 grads.wh[g] += dpre[g] @ h_prev.T
 
     flat = {g: dpre_store[g][cache.t_idx, :, cache.k_idx] for g in active}
+    if params.input_kind == "one-hot":
+        touched = ColumnGrad.over(params.wx[active[0]].shape, [cache.flat_ids], dt)
+        slots = touched.slots(cache.flat_ids)
     for g in active:
         grads.bias[g] += flat[g].sum(axis=0)
         if params.input_kind == "one-hot":
-            scatter_add_columns(grads.wx[g], cache.flat_ids, flat[g].T)
+            grads.wx[g] = ColumnGrad(touched.shape, touched.cols,
+                                     np.zeros_like(touched.block))
+            scatter_add_columns(grads.wx[g].block, slots, flat[g].T)
         else:
             grads.wx[g] += flat[g].T @ cache.x_flat
         for j, sp in enumerate(params.side):

@@ -19,7 +19,7 @@ from . import lstm as lstm_mod
 from . import tvembed as tv_mod
 from .corpus import Vocabulary
 from .errors import DataError
-from .numkernel import RngSpec, gaussian_init, scatter_add_columns
+from .numkernel import ColumnGrad, RngSpec, gaussian_init, scatter_add_columns
 
 INIT_STD = 0.01
 
@@ -335,40 +335,42 @@ def _branch_forward(branch, docs, tv_list, chop_len, overlap, workers):
     return h_docs, _BranchRun(shards, states)
 
 
-def _add_into(store: dict, name: str, value: np.ndarray) -> None:
-    if name in store:
-        store[name] += value
-    else:
-        store[name] = value
+def _sum_in_order(values):
+    """Shard totals added in shard order, as dense `total += value` would."""
+    if isinstance(values[0], ColumnGrad):
+        return ColumnGrad.sum(values)
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
 
 
 def _branch_backward(branch, prefix, run, docs, tv_list, h_docs, dh_docs,
                      workers, grads: dict):
+    if not docs:
+        return
     tv_list = tv_list if tv_list is not None else [None] * len(docs)
 
     if isinstance(branch, ConvBranch):
-        def conv_task(idx):
-            total = conv_mod.ConvGrads.zeros_like(branch.params)
-            for i in idx:
-                sides = None
-                if branch.params.side:
-                    sides = [tv_list[i][sp.tv_id] for sp in branch.params.side]
-                cg, _ = conv_mod.backward_from_mask(
-                    branch.params, docs[i], h_docs[i] > 0, dh_docs[i], sides)
-                total.w += cg.w
-                total.b += cg.b
-                for j in range(len(branch.params.side)):
-                    total.side[j][conv_mod.CONV_GATE] += cg.side[j][conv_mod.CONV_GATE]
-            return total
-
-        results = _run_tasks([lambda idx=idx: conv_task(idx) for idx in run.shards],
-                             workers)
-        for cg in results:
-            _add_into(grads, f"{prefix}.w", cg.w)
-            _add_into(grads, f"{prefix}.b", cg.b)
-            for sp, sg in zip(branch.params.side, cg.side):
-                _add_into(grads, f"{prefix}.side.{sp.tv_id}.{conv_mod.CONV_GATE}",
-                          sg[conv_mod.CONV_GATE])
+        # one sequential pass: the sums do not depend on --workers
+        params = branch.params
+        w_grads = []
+        b_grad = np.zeros_like(params.b)
+        side_grads = [np.zeros_like(sp.w[conv_mod.CONV_GATE]) for sp in params.side]
+        for i in range(len(docs)):
+            sides = None
+            if params.side:
+                sides = [tv_list[i][sp.tv_id] for sp in params.side]
+            cg, _ = conv_mod.backward_from_mask(params, docs[i], h_docs[i] > 0,
+                                                dh_docs[i], sides)
+            w_grads.append(cg.w)
+            b_grad += cg.b
+            for total, sg in zip(side_grads, cg.side):
+                total += sg[conv_mod.CONV_GATE]
+        grads[f"{prefix}.w"] = ColumnGrad.sum(w_grads)
+        grads[f"{prefix}.b"] = b_grad
+        for sp, total in zip(params.side, side_grads):
+            grads[f"{prefix}.side.{sp.tv_id}.{conv_mod.CONV_GATE}"] = total
         return
 
     parts = branch.parts()
@@ -377,8 +379,12 @@ def _branch_backward(branch, prefix, run, docs, tv_list, h_docs, dh_docs,
 
     def lstm_task(shard_no):
         idx = run.shards[shard_no]
-        out = []
-        emb_grad = np.zeros_like(branch.embedding) if want_emb else None
+        out = {}
+        if want_emb:
+            emb_grad = ColumnGrad.over(branch.embedding.shape,
+                                       [docs[i].ids for i in idx],
+                                       branch.embedding.dtype)
+            out[f"{prefix}.emb"] = emb_grad
         for pi, (tag, params, reverse) in enumerate(parts):
             ups = []
             for i in idx:
@@ -391,24 +397,21 @@ def _branch_backward(branch, prefix, run, docs, tv_list, h_docs, dh_docs,
                     ids = docs[i].ids
                     if reverse:
                         ids = ids[::-1]
-                    scatter_add_columns(emb_grad, ids, dx[pos])
-            out.append(lg)
-        return out, emb_grad
+                    scatter_add_columns(emb_grad.block, emb_grad.slots(ids), dx[pos])
+            p2 = f"{prefix}.{tag}"
+            for g in params.gates():
+                out[f"{p2}.wx.{g}"] = lg.wx[g]
+                out[f"{p2}.wh.{g}"] = lg.wh[g]
+                out[f"{p2}.bias.{g}"] = lg.bias[g]
+            for sp, sg in zip(params.side, lg.side):
+                for g in params.gates():
+                    out[f"{p2}.side.{sp.tv_id}.{g}"] = sg[g]
+        return out
 
     results = _run_tasks(
         [lambda s=s: lstm_task(s) for s in range(len(run.shards))], workers)
-    for part_grads, emb_grad in results:
-        if want_emb:
-            _add_into(grads, f"{prefix}.emb", emb_grad)
-        for (tag, params, _), lg in zip(parts, part_grads):
-            p2 = f"{prefix}.{tag}"
-            for g in params.gates():
-                _add_into(grads, f"{p2}.wx.{g}", lg.wx[g])
-                _add_into(grads, f"{p2}.wh.{g}", lg.wh[g])
-                _add_into(grads, f"{p2}.bias.{g}", lg.bias[g])
-            for sp, sg in zip(params.side, lg.side):
-                for g in params.gates():
-                    _add_into(grads, f"{p2}.side.{sp.tv_id}.{g}", sg[g])
+    for name in results[0]:
+        grads[name] = _sum_in_order([shard[name] for shard in results])
 
 
 def _pooled_forward(spec, docs, tv_list, chop_len, overlap, workers):
@@ -513,9 +516,9 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     return loss, grads
 
 
-def error_rate(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
-               block: int = 512) -> float:
-    """Percentage of misclassified documents."""
+def confusion(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
+              block: int = 512) -> np.ndarray:
+    """(true class, predicted class) document counts, scored in blocks."""
     docs = dataset.docs
     if not docs:
         raise DataError("cannot evaluate on an empty dataset")
@@ -523,11 +526,22 @@ def error_rate(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
         raise DataError("evaluation documents must all be labeled")
     if tv_list is None:
         tv_list = tv_output_list(spec, docs)
-    wrong = 0
+    counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
     for lo in range(0, len(docs), block):
         chunk = docs[lo:lo + block]
         chunk_tv = tv_list[lo:lo + block] if tv_list is not None else None
-        scores = batch_scores(spec, chunk, chunk_tv, workers)
-        preds = np.argmax(scores, axis=0)
-        wrong += int(sum(p != d.label for p, d in zip(preds, chunk)))
-    return 100.0 * wrong / len(docs)
+        preds = np.argmax(batch_scores(spec, chunk, chunk_tv, workers), axis=0)
+        np.add.at(counts, ([d.label for d in chunk], preds), 1)
+    return counts
+
+
+def percent_wrong(counts: np.ndarray) -> float:
+    """Error rate in percent from a confusion matrix."""
+    total = int(counts.sum())
+    return 100.0 * (total - int(np.trace(counts))) / total
+
+
+def error_rate(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
+               block: int = 512) -> float:
+    """Percentage of misclassified documents."""
+    return percent_wrong(confusion(spec, dataset, tv_list, workers, block))

@@ -195,6 +195,47 @@ def scatter_add_columns(dest: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> 
     return dest
 
 
+@dataclass(eq=False)
+class ColumnGrad:
+    """Gradient of a matrix that is exactly zero outside a few columns.
+
+    One-hot inputs touch only the columns of the words they contain, so the
+    gradient is stored as the touched column ids (`cols`, sorted, unique)
+    and their dense `(rows, len(cols))` block.  `np.asarray` gives the
+    dense matrix.
+    """
+
+    shape: tuple
+    cols: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def over(cls, shape, id_arrays, dtype) -> "ColumnGrad":
+        """Zero gradient whose block covers every column id in `id_arrays`."""
+        cols = np.unique(np.concatenate([np.zeros(0, np.int64), *id_arrays]))
+        return cls(tuple(shape), cols, np.zeros((shape[0], cols.size), dtype=dtype))
+
+    @classmethod
+    def sum(cls, grads) -> "ColumnGrad":
+        """Sum in list order; bit-identical to dense `total += g` from zeros,
+        since the columns a term skips would only add an exact zero."""
+        total = cls.over(grads[0].shape, [g.cols for g in grads], grads[0].block.dtype)
+        for g in grads:
+            total.block[:, total.slots(g.cols)] += g.block
+        return total
+
+    def slots(self, ids) -> np.ndarray:
+        """Block positions of column ids (each must be in `cols`)."""
+        return np.searchsorted(self.cols, ids)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a ColumnGrad has no dense view; densifying copies")
+        dense = np.zeros(self.shape, dtype=self.block.dtype)
+        dense[:, self.cols] = self.block
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def assert_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {what}")

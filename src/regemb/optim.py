@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .numkernel import RngSpec, get_precision, real_dtype
+from .numkernel import ColumnGrad, RngSpec, get_precision, real_dtype
 
 
 @dataclass
@@ -26,7 +26,6 @@ class TrainConfig:
     chop_overlap: int = 0
     dropout_rate: float = 0.5
     seed: int = 1
-    dev_fraction: float = 0.1
     workers: int = 1
 
     def __post_init__(self):
@@ -39,12 +38,20 @@ class TrainConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
 
+# A ColumnGrad is exactly zero outside its columns, where the dense rules
+# leave the cache unchanged and subtract an exact zero from v or theta; so
+# both steps below touch only its columns and stay bit-identical to dense.
+
+
 def sgd_step(param, grad, velocity, cfg: TrainConfig):
     """Classical momentum, in place: v <- m*v - lr*g; theta <- theta + v."""
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ValueError("param/grad/velocity shapes differ")
     velocity *= cfg.momentum
-    velocity -= cfg.lr * grad
+    if isinstance(grad, ColumnGrad):
+        velocity[:, grad.cols] -= cfg.lr * grad.block
+    else:
+        velocity -= cfg.lr * grad
     param += velocity
     return param, velocity
 
@@ -54,6 +61,13 @@ def rmsprop_step(param, grad, cache, cfg: TrainConfig):
     if param.shape != grad.shape or param.shape != cache.shape:
         raise ValueError("param/grad/cache shapes differ")
     cache *= cfg.rmsprop_decay
+    if isinstance(grad, ColumnGrad):
+        cols, grad = grad.cols, grad.block
+        touched = cache[:, cols]
+        touched += (1.0 - cfg.rmsprop_decay) * grad * grad
+        cache[:, cols] = touched
+        param[:, cols] -= cfg.lr * grad / np.sqrt(touched + cfg.rmsprop_eps)
+        return param, cache
     cache += (1.0 - cfg.rmsprop_decay) * grad * grad
     param -= cfg.lr * grad / np.sqrt(cache + cfg.rmsprop_eps)
     return param, cache
@@ -197,7 +211,7 @@ def grad_check(spec, doc, label, eps=1e-4, threshold=1e-4, max_coords=200, seed=
     checked = 0
     for name, param in model_mod.iter_params(spec):
         flat = param.reshape(-1)
-        grad_flat = grads[name].reshape(-1)
+        grad_flat = np.asarray(grads[name]).reshape(-1)
         if flat.size <= max_coords:
             coords = np.arange(flat.size)
         else:

@@ -22,6 +22,7 @@ from . import lstm as lstm_mod
 from .corpus import TokenSequence, Vocabulary
 from .errors import DataError
 from .numkernel import (
+    ColumnGrad,
     RngSpec,
     SparseVector,
     gaussian_init,
@@ -418,16 +419,17 @@ def train_tv_cnn(unlabeled, region_size: int, dim: int, spec: TvObjectiveSpec,
 
     def backward_fn(state, dh_all):
         pres, doc_idx, targets_batch = state
-        total = {"w": np.zeros_like(params.w), "b": np.zeros_like(params.b)}
+        w_grads = []
+        b_grad = np.zeros_like(params.b)
         col = 0
         for pre, i, tgt in zip(pres, doc_idx, targets_batch):
             up = np.zeros_like(pre)
             up[:, tgt.positions] = dh_all[:, col:col + tgt.positions.size]
             col += tgt.positions.size
             cg, _ = conv_mod.backward_from_mask(params, docs[i].ids, pre > 0, up)
-            total["w"] += cg.w
-            total["b"] += cg.b
-        return total
+            w_grads.append(cg.w)
+            b_grad += cg.b
+        return {"w": ColumnGrad.sum(w_grads), "b": b_grad}
 
     tensors = {"w": params.w, "b": params.b}
     logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),

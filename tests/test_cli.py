@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,88 @@ class TestTrainEvalPredict:
             "--out", str(model), "--config", str(cfg))
         assert code == 0
         assert len([l for l in out.splitlines() if l.startswith("epoch=")]) == 1
+
+    def test_eval_scores_once_and_matches_predict(self, corpus_files, capsys,
+                                                  monkeypatch):
+        import regemb.model as model_mod
+
+        model, _ = self._train(corpus_files, capsys, "--epochs", "1")
+        code, out, _ = run(capsys, "predict", "--model", str(model),
+                           "--input", str(corpus_files / "test.txt"))
+        assert code == 0
+        preds = out.split()
+        truth = (corpus_files / "test.lab").read_text().split()
+        train = (corpus_files / "train.lab").read_text().split()
+        names = sorted(set(train), key=train.index)  # class ids: first seen
+        pairs = Counter(zip(truth, preds))
+        wrong = sum(n for (t, p), n in pairs.items() if t != p)
+        want = [f"error_rate={100.0 * wrong / len(truth):.4f}"]
+        for name in names:
+            row = " ".join(f"{p}={pairs[name, p]}" for p in names if pairs[name, p])
+            want.append(f"confusion {name}: {row}")
+        scored = []
+        original = model_mod.batch_scores
+        monkeypatch.setattr(model_mod, "batch_scores",
+                            lambda spec, docs, *a, **k:
+                            scored.append(len(docs)) or original(spec, docs, *a, **k))
+        code, out, _ = run(capsys, "eval", "--model", str(model),
+                           "--test", str(corpus_files / "test.txt"),
+                           "--labels", str(corpus_files / "test.lab"))
+        assert code == 0
+        assert out == "\n".join(want) + "\n"
+        assert sum(scored) == len(truth)
+
+    def test_eval_empty_set_is_data_error(self, corpus_files, capsys):
+        model, _ = self._train(corpus_files, capsys, "--epochs", "1")
+        (corpus_files / "empty.txt").write_text("")
+        code, _, err = run(capsys, "eval", "--model", str(model),
+                           "--test", str(corpus_files / "empty.txt"),
+                           "--labels", str(corpus_files / "empty.txt"))
+        assert code == 2 and "empty" in err
+
+    def _train_with_config(self, corpus_files, capsys, text, *argv):
+        cfg = corpus_files / "train.cfg"
+        cfg.write_text(text)
+        return run(capsys, "train", *argv,
+                   "--train", str(corpus_files / "train.txt"),
+                   "--train-labels", str(corpus_files / "train.lab"),
+                   "--out", str(corpus_files / "cfg.rgem"), "--config", str(cfg))
+
+    def test_config_values_take_the_flag_type(self, corpus_files, capsys):
+        code, out, err = self._train_with_config(
+            corpus_files, capsys,
+            "units=4\nchop=20\nvariant=full\nepochs=1\ndev-fraction=0\n",
+            "--arch", "oh-lstmp")
+        assert code == 0, err
+        from regemb.serialize import load_model
+        branch = load_model(corpus_files / "cfg.rgem").branches[0]
+        assert branch.fwd.units == 4 and branch.fwd.variant == "full"
+
+    def test_config_bad_number_is_usage_error(self, corpus_files, capsys):
+        code, _, err = self._train_with_config(
+            corpus_files, capsys, "epochs=abc\n", "--arch", "seq-cnn")
+        assert code == 1 and "epochs" in err
+
+    def test_config_bad_choice_is_usage_error(self, corpus_files, capsys):
+        code, _, err = self._train_with_config(
+            corpus_files, capsys, "pool=median\n", "--arch", "seq-cnn")
+        assert code == 1 and "pool" in err
+
+    def test_bad_branch_direction_is_usage_error(self, corpus_files, capsys):
+        code, _, err = run(
+            capsys, "train", "--arch", "multi", "--branch", "lstm:dir=sideways",
+            "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--out", str(corpus_files / "m.rgem"))
+        assert code == 1 and "sideways" in err
+
+    def test_bad_branch_number_is_usage_error(self, corpus_files, capsys):
+        code, _, err = run(
+            capsys, "train", "--arch", "multi", "--branch", "conv:maps=many",
+            "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--out", str(corpus_files / "m.rgem"))
+        assert code == 1 and "many" in err
 
 
 class TestTrainTv:

@@ -120,7 +120,7 @@ class TestConvGradients:
                 tensors.append((f"sv{j}", side[j], dsv[j]))
             for name, arr, g in tensors:
                 flat = arr.reshape(-1)
-                gflat = g.reshape(-1)
+                gflat = np.asarray(g).reshape(-1)
                 for c in range(flat.size):
                     orig = flat[c]
                     flat[c] = orig + eps

@@ -304,7 +304,7 @@ class TestSequenceGradients:
             analytic = dict(grad_arrays(p, grads))
             for name, arr in param_arrays(p):
                 flat = arr.reshape(-1)
-                aflat = analytic[name].reshape(-1)
+                aflat = np.asarray(analytic[name]).reshape(-1)
                 for c in range(flat.size):
                     orig = flat[c]
                     flat[c] = orig + eps
@@ -373,7 +373,7 @@ class TestSequenceGradients:
         for g in ("i", "o"):
             np.testing.assert_array_equal(grads.wx[g], np.zeros_like(grads.wx[g]))
             np.testing.assert_array_equal(grads.wh[g], np.zeros_like(grads.wh[g]))
-        assert np.any(grads.wx["f"] != 0)
+        assert np.any(np.asarray(grads.wx["f"]) != 0)
 
 
 class TestFoldEmbedding:

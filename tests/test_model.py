@@ -314,7 +314,7 @@ class TestBatchForwardBackward:
 
         for name, arr in iter_params(spec):
             flat = arr.reshape(-1)
-            gflat = grads[name].reshape(-1)
+            gflat = np.asarray(grads[name]).reshape(-1)
             for c in range(flat.size):
                 orig = flat[c]
                 flat[c] = orig + eps

@@ -240,7 +240,7 @@ class TestGradCheck:
 
         def corrupted(*args, **kwargs):
             loss, grads = original(*args, **kwargs)
-            grads[bad] = grads[bad] * 1.1
+            grads[bad] = np.asarray(grads[bad]) * 1.1
             return loss, grads
 
         monkeypatch.setattr(model_mod, "batch_forward_backward", corrupted)
