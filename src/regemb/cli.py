@@ -41,10 +41,27 @@ def _usage(message: str):
     raise SystemExit(1)
 
 
+def _checked(build, *args, **kwargs):
+    """Call a constructor that validates flag values; its ValueError is a
+    usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        _usage(str(exc))
+
+
+def _check_positive(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            _usage(f"--{name.replace('_', '-')} must be >= 1")
+
+
 def _add_common(p):
     p.add_argument("--config", help="key=value file of flag defaults")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored (each minibatch is one batched pass)")
     p.add_argument("--precision", choices=("32", "64"), default="32")
     p.add_argument("--pretokenized", action="store_true",
                    help="input lines are already space-separated tokens")
@@ -288,7 +305,7 @@ def _check_train_flags(args):
 def build_model(args, vocab, n_classes, class_names, rng) -> model_mod.ModelSpec:
     gen = rng.stream("init")
     vocab_size = len(vocab)
-    pooling = model_mod.PoolingSpec(args.pool, args.pool_k)
+    pooling = _checked(model_mod.PoolingSpec, args.pool, args.pool_k)
     branches = []
     if args.arch in LSTM_ARCHES:
         units = args.units if args.units is not None else 100
@@ -355,17 +372,21 @@ def _load_or_build_vocab(args, token_docs):
 
 
 def _train_config(args):
-    return optim.TrainConfig(
+    return _checked(
+        optim.TrainConfig,
         lr=args.lr, momentum=args.momentum, rmsprop=args.rmsprop,
         rmsprop_decay=args.rmsprop_decay, rmsprop_eps=args.rmsprop_eps,
         minibatch=args.minibatch, epochs=args.epochs, chop_len=args.chop,
         chop_overlap=args.overlap, dropout_rate=args.dropout, seed=args.seed,
-        workers=args.workers,
     )
 
 
 def cmd_train(args):
     _check_train_flags(args)
+    _check_positive(args, "units", "maps", "region", "embed_dim", "vocab_size")
+    if not 0 <= args.dev_fraction < 1:
+        _usage("--dev-fraction must be in [0, 1)")
+    cfg = _train_config(args)
     _set_precision_flag(args)
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
     vocab = _load_or_build_vocab(args, token_docs)
@@ -408,7 +429,6 @@ def cmd_train(args):
             raise DataError(f"duplicate tv embedding names: {names}")
         model_mod.attach_embeddings(spec, embeddings, rng.stream("init", 1))
 
-    cfg = _train_config(args)
     optim.train(spec, train_set, dev_set, cfg, log_fn=print)
     serialize.save_model(args.out, spec)
     print(f"model={args.out}")
@@ -416,18 +436,19 @@ def cmd_train(args):
 
 
 def cmd_train_tv(args):
-    _set_precision_flag(args)
     if args.kind == "cnn" and args.region is None:
         _usage("--kind cnn needs --region")
+    _check_positive(args, "dim", "region")
+    cfg = _train_config(args)
+    _set_precision_flag(args)
     vocab = corpus.Vocabulary.load(args.vocab)
     target = corpus.Vocabulary.load(args.target_vocab)
     token_docs = corpus.load_token_file(args.unlabeled, args.pretokenized)
     docs = [corpus.encode(toks, vocab) for toks in token_docs]
     dataset = corpus.Dataset(docs, 0, [])
     direction = "forward" if args.direction == "fwd" else "backward"
-    spec = tv_mod.TvObjectiveSpec.build(vocab, target, args.k_next, args.neg,
-                                        direction, args.region)
-    cfg = _train_config(args)
+    spec = _checked(tv_mod.TvObjectiveSpec.build, vocab, target, args.k_next,
+                    args.neg, direction, args.region)
     name = Path(args.out).stem
     if args.kind == "lstm":
         emb, _ = tv_mod.train_tv_lstm(dataset, spec, args.dim, cfg, name=name,
@@ -448,7 +469,7 @@ def cmd_eval(args):
         raise DataError(f"{args.model}: model carries no vocabulary")
     dataset = corpus.load_dataset(args.test, args.labels, spec.vocab,
                                   spec.class_names, args.pretokenized)
-    counts = model_mod.confusion(spec, dataset, workers=args.workers)
+    counts = model_mod.confusion(spec, dataset)
     print(f"error_rate={model_mod.percent_wrong(counts):.4f}")
     for true_id, name in enumerate(spec.class_names):
         row = " ".join(f"{spec.class_names[p]}={counts[true_id, p]}"
@@ -466,7 +487,7 @@ def cmd_predict(args):
     docs = [corpus.encode(toks, spec.vocab) for toks in token_docs]
     for lo in range(0, len(docs), 512):
         chunk = docs[lo:lo + 512]
-        scores = model_mod.batch_scores(spec, chunk, workers=args.workers)
+        scores = model_mod.batch_scores(spec, chunk)
         for pred in np.argmax(scores, axis=0):
             print(spec.class_names[pred])
     return 0

@@ -137,6 +137,24 @@ def backward_from_mask(params, ids_or_seq, mask, upstream, side_seq=None,
     return grads, side_value_grads
 
 
+def batch_backward_from_mask(params, docs, masks, upstreams, side_list=None):
+    """Minibatch gradients: backward_from_mask per document, summed in
+    document order (w as one ColumnGrad)."""
+    if side_list is None:
+        side_list = [None] * len(docs)
+    w_grads = []
+    b_grad = np.zeros_like(params.b)
+    side_grads = [np.zeros_like(sp.w[CONV_GATE]) for sp in params.side]
+    for doc, mask, up, sides in zip(docs, masks, upstreams, side_list):
+        cg, _ = backward_from_mask(params, doc, mask, up, sides)
+        w_grads.append(cg.w)
+        b_grad += cg.b
+        for total, sg in zip(side_grads, cg.side):
+            total += sg[CONV_GATE]
+    return ConvGrads(ColumnGrad.sum(w_grads), b_grad,
+                     [{CONV_GATE: total} for total in side_grads])
+
+
 def conv_gradients(params: ConvParams, ids_or_seq, upstream, side_seq=None,
                    want_side_values_grad=False):
     """Exact gradients; relu subgradient at zero pre-activation is zero."""

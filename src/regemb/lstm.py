@@ -109,6 +109,14 @@ class LstmParams:
         )
 
 
+def gate_tensors(obj, gates, prefix=""):
+    """(name, array) for the wx, wh and bias of each gate, gate by gate, of
+    an LstmParams or LstmGrads; the order is the saved tensor order."""
+    for g in gates:
+        for kind in ("wx", "wh", "bias"):
+            yield f"{prefix}{kind}.{g}", getattr(obj, kind)[g]
+
+
 @dataclass
 class LstmState:
     c: np.ndarray

@@ -9,7 +9,6 @@ inverted (scaled at train time), so evaluation applies no scaling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,10 +166,8 @@ def iter_params(spec: ModelSpec):
             if branch.embedding is not None and branch.train_embedding:
                 yield f"{pre}.emb", branch.embedding
             for tag, params, _ in branch.parts():
-                for g in params.gates():
-                    yield f"{pre}.{tag}.wx.{g}", params.wx[g]
-                    yield f"{pre}.{tag}.wh.{g}", params.wh[g]
-                    yield f"{pre}.{tag}.bias.{g}", params.bias[g]
+                yield from lstm_mod.gate_tensors(params, params.gates(),
+                                                 f"{pre}.{tag}.")
                 for sp in params.side:
                     for g in params.gates():
                         yield f"{pre}.{tag}.side.{sp.tv_id}.{g}", sp.w[g]
@@ -246,185 +243,99 @@ def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _shard_indices(n: int, workers: int) -> list:
-    workers = max(1, min(workers, n))
-    bounds = [n * i // workers for i in range(workers + 1)]
-    return [list(range(bounds[i], bounds[i + 1]))
-            for i in range(workers) if bounds[i + 1] > bounds[i]]
-
-
-def _run_tasks(tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool_:
-        futures = [pool_.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
-def _part_sequences(branch, params, reverse, docs, tv_sub):
+def _part_sequences(branch, params, reverse, docs, tv_list):
     inputs, sides = [], []
-    for doc, tv in zip(docs, tv_sub):
+    for doc, tv in zip(docs, tv_list):
         ids = doc.ids if hasattr(doc, "ids") else np.asarray(doc, dtype=np.int64)
         if branch.embedding is not None:
             x = branch.embedding[:, ids]
             inputs.append(x[:, ::-1] if reverse else x)
         else:
             inputs.append(ids[::-1] if reverse else ids)
-        if params.side:
-            if tv is None:
-                raise DataError("branch has side channels but no tv outputs given")
-            mats = [tv[sp.tv_id] for sp in params.side]
-            sides.append([m[:, ::-1] for m in mats] if reverse else mats)
-        else:
-            sides.append(None)
+        mats = _side_inputs(params, tv)
+        sides.append([m[:, ::-1] for m in mats] if reverse and mats else mats)
     return inputs, (sides if params.side else None)
 
 
-@dataclass
-class _BranchRun:
-    shards: list  # doc-index lists
-    states: list  # per shard: list per part of engine run (lstm) or None (conv)
+def _side_inputs(params, tv):
+    """The tv outputs a branch's side channels read, or None without any."""
+    if not params.side:
+        return None
+    if tv is None:
+        raise DataError("branch has side channels but no tv outputs given")
+    return [tv[sp.tv_id] for sp in params.side]
 
 
-def _branch_forward(branch, docs, tv_list, chop_len, overlap, workers):
+def _branch_forward(branch, docs, tv_list, chop_len, overlap):
+    """Per-document branch outputs, plus the per-part LSTM runs that the
+    backward pass consumes (None for conv).  The whole minibatch is one
+    batched pass per part."""
     tv_list = tv_list if tv_list is not None else [None] * len(docs)
-    shards = _shard_indices(len(docs), workers)
-
     if isinstance(branch, ConvBranch):
-        def conv_task(idx):
-            hs = []
-            for i in idx:
-                sides = None
-                if branch.params.side:
-                    if tv_list[i] is None:
-                        raise DataError("branch has side channels but no tv outputs given")
-                    sides = [tv_list[i][sp.tv_id] for sp in branch.params.side]
-                hs.append(conv_mod.conv_forward(branch.params, docs[i], sides))
-            return hs
-
-        results = _run_tasks([lambda idx=idx: conv_task(idx) for idx in shards], workers)
-        h_docs = [None] * len(docs)
-        for idx, hs in zip(shards, results):
-            for i, h in zip(idx, hs):
-                h_docs[i] = h
-        return h_docs, _BranchRun(shards, [None] * len(shards))
-
-    parts = branch.parts()
-
-    def lstm_task(idx):
-        sub_docs = [docs[i] for i in idx]
-        sub_tv = [tv_list[i] for i in idx]
-        part_h, part_runs = [], []
-        for tag, params, reverse in parts:
-            inputs, sides = _part_sequences(branch, params, reverse, sub_docs, sub_tv)
-            hs, run = lstm_mod.batch_forward_docs(params, inputs, sides,
-                                                  chop_len, overlap)
-            if reverse:
-                hs = [h[:, ::-1] for h in hs]
-            part_h.append(hs)
-            part_runs.append(run)
-        return part_h, part_runs
-
-    results = _run_tasks([lambda idx=idx: lstm_task(idx) for idx in shards], workers)
-    h_docs = [None] * len(docs)
-    states = []
-    for idx, (part_h, part_runs) in zip(shards, results):
-        states.append(part_runs)
-        for pos, i in enumerate(idx):
-            h_docs[i] = np.concatenate([hs[pos] for hs in part_h], axis=0)
-    return h_docs, _BranchRun(shards, states)
+        h_docs = [conv_mod.conv_forward(branch.params, doc,
+                                        _side_inputs(branch.params, tv))
+                  for doc, tv in zip(docs, tv_list)]
+        return h_docs, None
+    part_h, runs = [], []
+    for _, params, reverse in branch.parts():
+        inputs, sides = _part_sequences(branch, params, reverse, docs, tv_list)
+        hs, run = lstm_mod.batch_forward_docs(params, inputs, sides,
+                                              chop_len, overlap)
+        part_h.append([h[:, ::-1] for h in hs] if reverse else hs)
+        runs.append(run)
+    return [np.concatenate(hs, axis=0) for hs in zip(*part_h)], runs
 
 
-def _sum_in_order(values):
-    """Shard totals added in shard order, as dense `total += value` would."""
-    if isinstance(values[0], ColumnGrad):
-        return ColumnGrad.sum(values)
-    total = values[0]
-    for value in values[1:]:
-        total += value
-    return total
-
-
-def _branch_backward(branch, prefix, run, docs, tv_list, h_docs, dh_docs,
-                     workers, grads: dict):
-    if not docs:
-        return
+def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
+                     grads: dict):
     tv_list = tv_list if tv_list is not None else [None] * len(docs)
-
     if isinstance(branch, ConvBranch):
-        # one sequential pass: the sums do not depend on --workers
         params = branch.params
-        w_grads = []
-        b_grad = np.zeros_like(params.b)
-        side_grads = [np.zeros_like(sp.w[conv_mod.CONV_GATE]) for sp in params.side]
-        for i in range(len(docs)):
-            sides = None
-            if params.side:
-                sides = [tv_list[i][sp.tv_id] for sp in params.side]
-            cg, _ = conv_mod.backward_from_mask(params, docs[i], h_docs[i] > 0,
-                                                dh_docs[i], sides)
-            w_grads.append(cg.w)
-            b_grad += cg.b
-            for total, sg in zip(side_grads, cg.side):
-                total += sg[conv_mod.CONV_GATE]
-        grads[f"{prefix}.w"] = ColumnGrad.sum(w_grads)
-        grads[f"{prefix}.b"] = b_grad
-        for sp, total in zip(params.side, side_grads):
-            grads[f"{prefix}.side.{sp.tv_id}.{conv_mod.CONV_GATE}"] = total
+        cg = conv_mod.batch_backward_from_mask(
+            params, docs, [h > 0 for h in h_docs], dh_docs,
+            [_side_inputs(params, tv) for tv in tv_list])
+        grads[f"{prefix}.w"] = cg.w
+        grads[f"{prefix}.b"] = cg.b
+        for sp, sg in zip(params.side, cg.side):
+            grads[f"{prefix}.side.{sp.tv_id}.{conv_mod.CONV_GATE}"] = \
+                sg[conv_mod.CONV_GATE]
         return
 
     parts = branch.parts()
     want_emb = branch.embedding is not None and branch.train_embedding
     row_split = np.cumsum([0] + [p.units for _, p, _ in parts])
-
-    def lstm_task(shard_no):
-        idx = run.shards[shard_no]
-        out = {}
+    if want_emb:
+        emb_grad = ColumnGrad.over(branch.embedding.shape,
+                                   [doc.ids for doc in docs],
+                                   branch.embedding.dtype)
+        grads[f"{prefix}.emb"] = emb_grad
+    for pi, ((tag, params, reverse), run) in enumerate(zip(parts, runs)):
+        ups = []
+        for dh in dh_docs:
+            up = dh[row_split[pi]:row_split[pi + 1]]
+            ups.append(up[:, ::-1] if reverse else up)
+        lg, _, dx = lstm_mod.batch_backward_docs(run, ups, want_input_grad=want_emb)
         if want_emb:
-            emb_grad = ColumnGrad.over(branch.embedding.shape,
-                                       [docs[i].ids for i in idx],
-                                       branch.embedding.dtype)
-            out[f"{prefix}.emb"] = emb_grad
-        for pi, (tag, params, reverse) in enumerate(parts):
-            ups = []
-            for i in idx:
-                up = dh_docs[i][row_split[pi]:row_split[pi + 1]]
-                ups.append(up[:, ::-1] if reverse else up)
-            lg, _, dx = lstm_mod.batch_backward_docs(
-                run.states[shard_no][pi], ups, want_input_grad=want_emb)
-            if want_emb:
-                for pos, i in enumerate(idx):
-                    ids = docs[i].ids
-                    if reverse:
-                        ids = ids[::-1]
-                    scatter_add_columns(emb_grad.block, emb_grad.slots(ids), dx[pos])
-            p2 = f"{prefix}.{tag}"
+            for doc, dx_doc in zip(docs, dx):
+                ids = doc.ids[::-1] if reverse else doc.ids
+                scatter_add_columns(emb_grad.block, emb_grad.slots(ids), dx_doc)
+        p2 = f"{prefix}.{tag}"
+        grads.update(lstm_mod.gate_tensors(lg, params.gates(), f"{p2}."))
+        for sp, sg in zip(params.side, lg.side):
             for g in params.gates():
-                out[f"{p2}.wx.{g}"] = lg.wx[g]
-                out[f"{p2}.wh.{g}"] = lg.wh[g]
-                out[f"{p2}.bias.{g}"] = lg.bias[g]
-            for sp, sg in zip(params.side, lg.side):
-                for g in params.gates():
-                    out[f"{p2}.side.{sp.tv_id}.{g}"] = sg[g]
-        return out
-
-    results = _run_tasks(
-        [lambda s=s: lstm_task(s) for s in range(len(run.shards))], workers)
-    for name in results[0]:
-        grads[name] = _sum_in_order([shard[name] for shard in results])
+                grads[f"{p2}.side.{sp.tv_id}.{g}"] = sg[g]
 
 
-def _pooled_forward(spec, docs, tv_list, chop_len, overlap, workers):
+def _pooled_forward(spec, docs, tv_list, chop_len, overlap):
     P = np.zeros((spec.doc_dim, len(docs)), dtype=spec.top.w.dtype)
     layout = []
     row = 0
     for branch in spec.branches:
-        h_docs, run = _branch_forward(branch, docs, tv_list, chop_len, overlap,
-                                      workers)
+        h_docs, runs = _branch_forward(branch, docs, tv_list, chop_len, overlap)
         width = branch.out_dim * branch.pooling.regions
         for bi, h in enumerate(h_docs):
             P[row:row + width, bi] = pool(h, branch.pooling)
-        layout.append((branch, run, h_docs, row, width))
+        layout.append((branch, runs, h_docs, row, width))
         row += width
     return P, layout
 
@@ -468,30 +379,28 @@ def model_forward(spec: ModelSpec, doc, mode: str = "eval", dropout=None,
     if tv_ids_used(spec):
         tv_list = [tv_outs if tv_outs is not None else tv_outputs_for(spec, doc)]
     P, _ = _pooled_forward(spec, [doc], tv_list,
-                           chop_len if mode == "train" else None, 0, 1)
+                           chop_len if mode == "train" else None, 0)
     vec = P[:, 0]
     if mode == "train" and dropout is not None:
         vec = vec * dropout
     return spec.top.w @ vec + spec.top.b
 
 
-def batch_scores(spec: ModelSpec, docs, tv_list=None, workers: int = 1) -> np.ndarray:
+def batch_scores(spec: ModelSpec, docs, tv_list=None) -> np.ndarray:
     """Eval-mode scores for many documents: (n_classes, len(docs))."""
     if tv_list is None:
         tv_list = tv_output_list(spec, docs)
-    P, _ = _pooled_forward(spec, docs, tv_list, None, 0, workers)
+    P, _ = _pooled_forward(spec, docs, tv_list, None, 0)
     return spec.top.w @ P + spec.top.b[:, None]
 
 
 def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
-                           chop_overlap=0, dropout_masks=None, workers=1,
-                           tv_list=None):
+                           chop_overlap=0, dropout_masks=None, tv_list=None):
     """Mean square loss over the minibatch and gradients for every trainable
     tensor (keys match iter_params)."""
     if tv_list is None:
         tv_list = tv_output_list(spec, docs)
-    P, layout = _pooled_forward(spec, docs, tv_list, chop_len, chop_overlap,
-                                workers)
+    P, layout = _pooled_forward(spec, docs, tv_list, chop_len, chop_overlap)
     dropped = P * dropout_masks if dropout_masks is not None else P
     scores = spec.top.w @ dropped + spec.top.b[:, None]
     y = _targets(labels, spec.n_classes, spec.target_encoding, scores.dtype)
@@ -505,19 +414,18 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     dP = spec.top.w.T @ dscores
     if dropout_masks is not None:
         dP = dP * dropout_masks
-    for bi, (branch, run, h_docs, row, width) in enumerate(layout):
+    for bi, (branch, runs, h_docs, row, width) in enumerate(layout):
         dh_docs = [pool_backward(h_docs[i], branch.pooling, dP[row:row + width, i])
                    for i in range(len(docs))]
-        _branch_backward(branch, f"br{bi}", run, docs, tv_list, h_docs, dh_docs,
-                         workers, grads)
+        _branch_backward(branch, f"br{bi}", runs, docs, tv_list, h_docs, dh_docs,
+                         grads)
     for name, param in iter_params(spec):
         if name not in grads:
             grads[name] = np.zeros_like(param)
     return loss, grads
 
 
-def confusion(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
-              block: int = 512) -> np.ndarray:
+def confusion(spec: ModelSpec, dataset, tv_list=None, block: int = 512) -> np.ndarray:
     """(true class, predicted class) document counts, scored in blocks."""
     docs = dataset.docs
     if not docs:
@@ -530,7 +438,7 @@ def confusion(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
     for lo in range(0, len(docs), block):
         chunk = docs[lo:lo + block]
         chunk_tv = tv_list[lo:lo + block] if tv_list is not None else None
-        preds = np.argmax(batch_scores(spec, chunk, chunk_tv, workers), axis=0)
+        preds = np.argmax(batch_scores(spec, chunk, chunk_tv), axis=0)
         np.add.at(counts, ([d.label for d in chunk], preds), 1)
     return counts
 
@@ -541,7 +449,6 @@ def percent_wrong(counts: np.ndarray) -> float:
     return 100.0 * (total - int(np.trace(counts))) / total
 
 
-def error_rate(spec: ModelSpec, dataset, tv_list=None, workers: int = 1,
-               block: int = 512) -> float:
+def error_rate(spec: ModelSpec, dataset, tv_list=None, block: int = 512) -> float:
     """Percentage of misclassified documents."""
-    return percent_wrong(confusion(spec, dataset, tv_list, workers, block))
+    return percent_wrong(confusion(spec, dataset, tv_list, block))

@@ -236,6 +236,13 @@ class ColumnGrad:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """No NaN or Inf entry; checked in slices of 64k entries, so a large
+    tensor needs no tensor-sized temporary."""
+    flat, step = arr.reshape(-1), 1 << 16
+    return all(np.isfinite(flat[i:i + step]).all() for i in range(0, flat.size, step))
+
+
 def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NumericError(f"non-finite values in {what}")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-from .numkernel import ColumnGrad, RngSpec, get_precision, real_dtype
+from .errors import DataError, NumericError
+from .numkernel import ColumnGrad, RngSpec, assert_finite, get_precision, real_dtype
 
 
 @dataclass
@@ -26,7 +26,6 @@ class TrainConfig:
     chop_overlap: int = 0
     dropout_rate: float = 0.5
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         # lr 0 is allowed as a degenerate no-op run (useful in tests)
@@ -36,6 +35,18 @@ class TrainConfig:
             raise ValueError("minibatch must be >= 1")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if not 0 <= self.rmsprop_decay < 1:
+            raise ValueError("rmsprop_decay must be in [0, 1)")
+        if self.epochs < 0:
+            raise ValueError("epochs must not be negative")
+        if self.chop_len is not None and self.chop_len < 1:
+            raise ValueError("chop_len must be >= 1")
+        # overlap is warm-up context before each chopped segment
+        if not 0 <= self.chop_overlap < (self.chop_len or 1):
+            raise ValueError("overlap must satisfy 0 <= overlap < chop_len "
+                             "(0 without chopping)")
 
 
 # A ColumnGrad is exactly zero outside its columns, where the dense rules
@@ -101,6 +112,18 @@ def dropout_mask(dim: int, rate: float, rng) -> np.ndarray:
     return keep.astype(real_dtype()) / (1.0 - rate)
 
 
+def check_loss(loss: float, epoch: int, batch_no: int) -> None:
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+
+
+def check_params(named_params, epochs: int) -> None:
+    """Refuse parameters that the last update made non-finite, which no
+    later loss would show."""
+    for name, param in named_params:
+        assert_finite(param, f"{name} after epoch {epochs}")
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -122,6 +145,8 @@ def train(spec, train_set, dev_set, cfg: TrainConfig, log_fn=None):
     from . import model as model_mod
 
     docs = list(train_set.docs)
+    if not docs:
+        raise DataError("no training documents")
     labels = [doc.label for doc in docs]
     if any(lab is None for lab in labels):
         raise ValueError("training documents must all be labeled")
@@ -150,23 +175,21 @@ def train(spec, train_set, dev_set, cfg: TrainConfig, log_fn=None):
                 )
             loss, grads = model_mod.batch_forward_backward(
                 spec, bdocs, blabels, chop_len=cfg.chop_len,
-                chop_overlap=cfg.chop_overlap, dropout_masks=masks,
-                workers=cfg.workers, tv_list=btv,
+                chop_overlap=cfg.chop_overlap, dropout_masks=masks, tv_list=btv,
             )
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            check_loss(loss, epoch, batch_no)
             for name, param in model_mod.iter_params(spec):
                 updater.apply(name, param, grads[name])
             loss_total += loss * len(bdocs)
         dev_err = float("nan")
         if dev_set is not None and len(dev_set.docs):
-            dev_err = model_mod.error_rate(spec, dev_set, tv_list=tv_dev,
-                                           workers=cfg.workers)
+            dev_err = model_mod.error_rate(spec, dev_set, tv_list=tv_dev)
         entry = EpochLog(epoch, loss_total / len(docs), dev_err,
                          time.perf_counter() - started)
         logs.append(entry)
         if log_fn is not None:
             log_fn(entry.line())
+    check_params(model_mod.iter_params(spec), cfg.epochs)
     return spec, logs
 
 

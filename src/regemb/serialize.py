@@ -22,7 +22,7 @@ from . import model as model_mod
 from . import tvembed as tv_mod
 from .corpus import Vocabulary
 from .errors import DataError
-from .numkernel import real_dtype
+from .numkernel import all_finite, real_dtype
 
 MAGIC = b"RGEM"
 VERSION = 1
@@ -56,8 +56,20 @@ def save_tensors(path, metadata: dict, tensors) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+class _Tensors(dict):
+    """Tensors by name; looking up a missing one is a data error naming it."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise DataError(f"{self.path}: missing tensor {name!r}")
+
+
 def load_tensors(path):
-    """Read the container; data is promoted to the active precision."""
+    """Read the container; data is promoted to the active precision.
+    A tensor with a NaN or infinite entry is a data error."""
     with open(path, "rb") as fh:
         raw = fh.read()
     view = memoryview(raw)
@@ -77,7 +89,7 @@ def load_tensors(path):
             metadata[key] = value
         (n_tensors,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        tensors = {}
+        tensors = _Tensors(path)
         for _ in range(n_tensors):
             (name_len,) = struct.unpack_from("<I", raw, pos)
             pos += 4
@@ -88,6 +100,8 @@ def load_tensors(path):
             count = rows * cols
             data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
             pos += 4 * count
+            if not all_finite(data):
+                raise DataError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.reshape(rows, cols).astype(real_dtype())
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt container ({exc})") from None
@@ -151,11 +165,22 @@ def save_tv(path, emb: tv_mod.TvEmbedding) -> None:
     save_tensors(path, metadata, emb.tensors())
 
 
-def load_tv(path) -> tv_mod.TvEmbedding:
+def _load(path, kind, build):
+    """Read a `kind` container and build it from its config; a missing
+    config key and a malformed or wrong config value are data errors."""
     metadata, tensors = load_tensors(path)
-    if metadata.get("format") != "tv":
-        raise DataError(f"{path}: not a tv-embedding file")
-    return _tv_from_config(json.loads(metadata["config"]), tensors)
+    if metadata.get("format") != kind:
+        raise DataError(f"{path}: not a {kind} file")
+    try:
+        return build(json.loads(metadata["config"]), tensors)
+    except KeyError as exc:
+        raise DataError(f"{path}: no config key {exc}") from None
+    except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise DataError(f"{path}: bad config ({exc})") from None
+
+
+def load_tv(path) -> tv_mod.TvEmbedding:
+    return _load(path, "tv", _tv_from_config)
 
 
 def _model_config(spec: model_mod.ModelSpec) -> dict:
@@ -225,15 +250,13 @@ def _lstm_part_from(cfg_part, tensors, prefix, input_kind, tv_table):
 
 
 def load_model(path) -> model_mod.ModelSpec:
-    metadata, tensors = load_tensors(path)
-    if metadata.get("format") != "model":
-        raise DataError(f"{path}: not a model file")
-    cfg = json.loads(metadata["config"])
+    return _load(path, "model", _model_from_config)
+
+
+def _model_from_config(cfg: dict, tensors: dict) -> model_mod.ModelSpec:
     tv_table = {}
     for tv_id in sorted(cfg["tv"]):
-        sub = {name[len(f"tv.{tv_id}."):]: arr for name, arr in tensors.items()
-               if name.startswith(f"tv.{tv_id}.")}
-        tv_table[tv_id] = _tv_from_config(cfg["tv"][tv_id], sub)
+        tv_table[tv_id] = _tv_from_config(cfg["tv"][tv_id], tensors, f"tv.{tv_id}.")
     branches = []
     for bi, bc in enumerate(cfg["branches"]):
         pooling = model_mod.PoolingSpec(bc["pooling"]["kind"], bc["pooling"]["regions"])

@@ -22,14 +22,13 @@ from . import lstm as lstm_mod
 from .corpus import TokenSequence, Vocabulary
 from .errors import DataError
 from .numkernel import (
-    ColumnGrad,
     RngSpec,
     SparseVector,
     gaussian_init,
     relu,
     scatter_add_columns,
 )
-from .optim import EpochLog, TrainConfig, Updater
+from .optim import EpochLog, TrainConfig, Updater, check_loss, check_params
 
 INIT_STD = 0.01
 
@@ -84,10 +83,7 @@ class TvEmbedding:
     def tensors(self):
         if self.kind == "lstm":
             p = self.lstm_params
-            for g in p.gates():
-                yield f"wx.{g}", p.wx[g]
-                yield f"wh.{g}", p.wh[g]
-                yield f"bias.{g}", p.bias[g]
+            yield from lstm_mod.gate_tensors(p, p.gates())
         else:
             yield "w", self.conv_params.w
             yield "b", self.conv_params.b
@@ -302,7 +298,7 @@ def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
         sample_gen = rng.stream("sampling", epoch)
         loss_sum = 0.0
         pos_total = 0
-        for batch in _batches(len(kept), cfg.minibatch):
+        for batch_no, batch in enumerate(_batches(len(kept), cfg.minibatch)):
             doc_idx = [kept[order[i]] for i in batch]
             targets_batch = [doc_targets[i] for i in doc_idx]
             h_all, state = forward_fn(doc_idx, targets_batch)
@@ -310,7 +306,9 @@ def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
                                                      neg_samples, sample_gen)
             pvals = head.forward(h_all, coords, rows)
             diff = pvals - zvals
-            loss_sum += float(np.sum(diff * diff))
+            loss = float(np.sum(diff * diff))
+            check_loss(loss, epoch, batch_no)
+            loss_sum += loss
             pos_total += n_pos
             if not update:
                 continue
@@ -327,6 +325,7 @@ def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
         logs.append(entry)
         if log_fn is not None:
             log_fn(entry.line())
+    check_params(param_tensors.items(), cfg.epochs)
     return logs
 
 
@@ -371,18 +370,9 @@ def train_tv_lstm(unlabeled, spec: TvObjectiveSpec, dim: int, cfg: TrainConfig,
                 up = up[:, ::-1]
             ups.append(up)
         lg, _, _ = lstm_mod.batch_backward_docs(run, ups)
-        out = {}
-        for g in params.gates():
-            out[f"wx.{g}"] = lg.wx[g]
-            out[f"wh.{g}"] = lg.wh[g]
-            out[f"bias.{g}"] = lg.bias[g]
-        return out
+        return dict(lstm_mod.gate_tensors(lg, params.gates()))
 
-    tensors = {}
-    for g in params.gates():
-        tensors[f"wx.{g}"] = params.wx[g]
-        tensors[f"wh.{g}"] = params.wh[g]
-        tensors[f"bias.{g}"] = params.bias[g]
+    tensors = dict(lstm_mod.gate_tensors(params, params.gates()))
     logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),
                           spec.neg_samples, cfg, forward_fn, backward_fn,
                           tensors, params.dtype, log_fn)
@@ -419,17 +409,16 @@ def train_tv_cnn(unlabeled, region_size: int, dim: int, spec: TvObjectiveSpec,
 
     def backward_fn(state, dh_all):
         pres, doc_idx, targets_batch = state
-        w_grads = []
-        b_grad = np.zeros_like(params.b)
+        ups = []
         col = 0
-        for pre, i, tgt in zip(pres, doc_idx, targets_batch):
+        for pre, tgt in zip(pres, targets_batch):
             up = np.zeros_like(pre)
             up[:, tgt.positions] = dh_all[:, col:col + tgt.positions.size]
             col += tgt.positions.size
-            cg, _ = conv_mod.backward_from_mask(params, docs[i].ids, pre > 0, up)
-            w_grads.append(cg.w)
-            b_grad += cg.b
-        return {"w": ColumnGrad.sum(w_grads), "b": b_grad}
+            ups.append(up)
+        cg = conv_mod.batch_backward_from_mask(
+            params, [docs[i].ids for i in doc_idx], [pre > 0 for pre in pres], ups)
+        return {"w": cg.w, "b": cg.b}
 
     tensors = {"w": params.w, "b": params.b}
     logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),

@@ -211,7 +211,7 @@ def test_criterion_04_chopping_semantics():
             h2 = forward_sequence(params, other, seg_len=5)
             np.testing.assert_array_equal(h1[:, :5], h2[:, :5])
             np.testing.assert_array_equal(h1[:, 10:], h2[:, 10:])
-        # (c) chopped epochs are faster than unchopped at workers >= 4
+        # (c) chopped epochs are faster than unchopped
         with precision("float32"):
             data = gen.length_varied_corpus(2000, 42)
 
@@ -227,8 +227,7 @@ def test_criterion_04_chopping_semantics():
                                  TopLayerParams.create(2, 100, rng), 2,
                                  gen.LENGTH_VOCAB)
                 cfg = TrainConfig(lr=0.01, momentum=0.9, minibatch=64, epochs=1,
-                                  chop_len=chop, dropout_rate=0.0, seed=5,
-                                  workers=4)
+                                  chop_len=chop, dropout_rate=0.0, seed=5)
                 t0 = time.perf_counter()
                 train(spec, data, None, cfg)
                 return time.perf_counter() - t0

@@ -383,3 +383,105 @@ class TestWordVectors:
             "--out", str(model), "--epochs", "1", "--dropout", "0",
             "--dev-fraction", "0")
         assert code == 0 and model.exists()
+
+
+def _vocab(corpus_files, capsys):
+    path = corpus_files / "vocab.txt"
+    run(capsys, "build-vocab", "--input", str(corpus_files / "train.txt"),
+        "--out", str(path))
+    return str(path)
+
+
+class TestFlagValues:
+    BAD = [
+        ("train", "--minibatch", "0"), ("train", "--lr", "-1"),
+        ("train", "--dropout", "1"), ("train", "--pool-k", "0"),
+        ("train", "--chop", "0"), ("train", "--overlap", "4"),
+        ("train", "--overlap", "-1"), ("train", "--dev-fraction", "1"),
+        ("train", "--dev-fraction", "-0.1"), ("train", "--epochs", "-1"),
+        ("train", "--momentum", "1"), ("train", "--rmsprop-decay", "1.5"),
+        ("train", "--units", "0"), ("train", "--vocab-size", "0"),
+        ("train-tv", "--dim", "0"), ("train-tv", "--k-next", "0"),
+        ("train-tv", "--neg", "-1"), ("train-tv", "--minibatch", "0"),
+        ("train-tv", "--chop", "0"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", BAD,
+                             ids=[f"{c}{f}={v}" for c, f, v in BAD])
+    def test_out_of_range_is_usage_error(self, corpus_files, capsys,
+                                         command, flag, value):
+        out = corpus_files / "out.bin"
+        if command == "train":
+            argv = ["train", "--arch", "oh-lstmp", "--units", "2", "--chop", "4",
+                    "--train", str(corpus_files / "train.txt"),
+                    "--train-labels", str(corpus_files / "train.lab")]
+        else:
+            vocab = _vocab(corpus_files, capsys)
+            argv = ["train-tv", "--kind", "lstm", "--dim", "2", "--vocab", vocab,
+                    "--target-vocab", vocab,
+                    "--unlabeled", str(corpus_files / "train.txt")]
+        code, _, err = run(capsys, *argv, "--out", str(out), "--epochs", "1",
+                           flag, value)
+        assert code == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_no_training_documents_is_data_error(self, corpus_files, capsys):
+        (corpus_files / "empty.txt").write_text("")
+        out = corpus_files / "m.rgem"
+        code, _, err = run(
+            capsys, "train", "--arch", "seq-cnn", "--vocab",
+            _vocab(corpus_files, capsys),
+            "--train", str(corpus_files / "empty.txt"),
+            "--train-labels", str(corpus_files / "empty.txt"), "--out", str(out))
+        assert code == 2 and "no training documents" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_train_tv_blow_up_exits_3_and_writes_nothing(self, corpus_files,
+                                                          capsys, epochs):
+        # at epoch 3 the loss is NaN; after epoch 2 only the weights are
+        vocab = _vocab(corpus_files, capsys)
+        out = corpus_files / "t.tv"
+        code, _, err = run(
+            capsys, "train-tv", "--kind", "lstm", "--dim", "3", "--vocab", vocab,
+            "--target-vocab", vocab, "--unlabeled", str(corpus_files / "train.txt"),
+            "--out", str(out), "--epochs", str(epochs), "--lr", "1e30")
+        assert code == 3 and f"epoch {epochs}" in err
+        assert not out.exists()
+
+    def test_workers_is_ignored(self, corpus_files, capsys):
+        (corpus_files / "w.cfg").write_text("workers=3\n")
+        outputs = []
+        for extra in (["--workers", "1"], ["--workers", "3"],
+                      ["--config", str(corpus_files / "w.cfg")]):
+            out = corpus_files / f"m{len(outputs)}.rgem"
+            code, _, err = run(
+                capsys, "train", "--arch", "multi",
+                "--branch", "conv:kind=seq,region=2,maps=4",
+                "--branch", "lstm:dir=bi,units=3",
+                "--train", str(corpus_files / "train.txt"),
+                "--train-labels", str(corpus_files / "train.lab"),
+                "--out", str(out), "--epochs", "2", "--minibatch", "10",
+                "--chop", "3", "--dev-fraction", "0.2", *extra)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+class TestModelFileErrors:
+    def test_predict_with_nan_model_exits_2(self, corpus_files, capsys):
+        model = corpus_files / "m.rgem"
+        code, _, _ = run(
+            capsys, "train", "--arch", "seq-cnn", "--maps", "4",
+            "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--out", str(model), "--epochs", "1", "--dev-fraction", "0")
+        assert code == 0
+        from regemb.serialize import load_tensors, save_tensors
+        meta, tensors = load_tensors(model)
+        tensors["br0.b"][0, 0] = np.nan
+        save_tensors(model, meta, tensors.items())
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--input", str(corpus_files / "test.txt"))
+        assert code == 2 and "'br0.b' has non-finite" in err and out == ""

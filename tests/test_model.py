@@ -282,22 +282,6 @@ class TestBatchForwardBackward:
         names = {name for name, _ in iter_params(spec)}
         assert set(grads) == names
 
-    def test_workers_do_not_change_results(self):
-        rng = RngSpec(11).stream("init")
-        branches = [make_lstm_branch(rng, "bidirectional", units=3, vocab=6),
-                    ConvBranch(PoolingSpec("avg", 2),
-                               conv_mod.ConvParams.create(4, 2, "seq", 6, rng))]
-        spec = make_model(branches=branches, vocab=6)
-        gen = np.random.default_rng(2)
-        docs = [TokenSequence(gen.integers(0, 6, size=int(gen.integers(2, 12))),
-                              label=int(gen.integers(0, 2))) for _ in range(9)]
-        labels = [d.label for d in docs]
-        loss1, g1 = batch_forward_backward(spec, docs, labels, workers=1)
-        loss4, g4 = batch_forward_backward(spec, docs, labels, workers=4)
-        np.testing.assert_allclose(loss1, loss4, rtol=1e-12)
-        for name in g1:
-            np.testing.assert_allclose(g1[name], g4[name], rtol=1e-9, atol=1e-11)
-
     def test_composite_gradient_vs_finite_differences(self):
         # bidirectional LSTM + conv + pooling + top, end to end
         eps = 1e-4

@@ -169,7 +169,7 @@ class TestTrain:
         for _ in range(2):
             spec = tiny_model(seed=4)
             cfg = TrainConfig(lr=0.05, epochs=3, minibatch=8, dropout_rate=0.5,
-                              seed=9, workers=1)
+                              seed=9)
             train(spec, toy_dataset(seed=4), None, cfg)
             results.append({name: arr.copy() for name, arr in iter_params(spec)})
         for name in results[0]:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -209,3 +210,66 @@ class TestModelFiles:
                                         model_mod.iter_tensors(loaded)):
                 assert na == nb
                 np.testing.assert_array_equal(a.astype(np.float64), b)
+
+
+def _rewrite(src, dst, edit):
+    """Copy a container, letting `edit(metadata, tensors)` change it first."""
+    meta, tensors = load_tensors(src)
+    meta, tensors = dict(meta), dict(tensors)
+    edit(meta, tensors)
+    save_tensors(dst, meta, tensors.items())
+
+
+def _poison(name, value):
+    def edit(meta, tensors):
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] = value
+    return edit
+
+
+def _drop_config_key(key):
+    def edit(meta, tensors):
+        cfg = json.loads(meta["config"])
+        del cfg[key]
+        meta["config"] = json.dumps(cfg)
+    return edit
+
+
+class TestMalformedFiles:
+    MODEL_CASES = [
+        ("no config", lambda m, t: m.pop("config"), "no config key 'config'"),
+        ("config not json", lambda m, t: m.update(config="{"), "bad config"),
+        ("config key", _drop_config_key("n_classes"), "'n_classes'"),
+        ("tensor", lambda m, t: t.pop("top.w"), "'top.w'"),
+        ("tv tensor", lambda m, t: t.pop("tv.tv11.wh.o"), "'tv.tv11.wh.o'"),
+        ("nan", _poison("br1.w", np.nan), "'br1.w' has non-finite"),
+        ("inf", _poison("top.b", -np.inf), "'top.b' has non-finite"),
+        ("tv nan", _poison("tv.tv12.w", np.nan), "'tv.tv12.w' has non-finite"),
+    ]
+
+    @pytest.mark.parametrize("what,edit,message", MODEL_CASES,
+                             ids=[c[0] for c in MODEL_CASES])
+    def test_model_is_data_error(self, tmp_path, what, edit, message):
+        good, bad = tmp_path / "good.rgem", tmp_path / "bad.rgem"
+        save_model(good, random_model(1, with_tv=True))
+        load_model(good)
+        _rewrite(good, bad, edit)
+        with pytest.raises(DataError, match=message):
+            load_model(bad)
+
+    TV_CASES = [
+        ("no config", lambda m, t: m.pop("config"), "no config key 'config'"),
+        ("config key", _drop_config_key("region_size"), "'region_size'"),
+        ("tensor", lambda m, t: t.pop("b"), "'b'"),
+        ("nan", _poison("w", np.nan), "'w' has non-finite"),
+    ]
+
+    @pytest.mark.parametrize("what,edit,message", TV_CASES,
+                             ids=[c[0] for c in TV_CASES])
+    def test_tv_is_data_error(self, tmp_path, what, edit, message):
+        good, bad = tmp_path / "good.tv", tmp_path / "bad.tv"
+        save_tv(good, random_tv(2, "cnn"))
+        load_tv(good)
+        _rewrite(good, bad, edit)
+        with pytest.raises(DataError, match=message):
+            load_tv(bad)

@@ -207,25 +207,15 @@ def _conv_lstm_model(vocab):
     return ModelSpec([lstm, conv], top, 2, vocab)
 
 
-class TestWorkers:
-    def test_shard_merging_matches_one_worker(self, mode):
+class TestModelGrads:
+    def test_one_hot_matrices_get_column_grads(self, mode):
         gen = np.random.default_rng(7)
         vocab = 12
         spec = _conv_lstm_model(vocab)
         docs = [TokenSequence(ids, label=int(gen.integers(0, 2)))
                 for ids in _docs(gen, 9, vocab, lo=2)]
         labels = [d.label for d in docs]
-        loss1, g1 = batch_forward_backward(spec, docs, labels, workers=1)
-        loss4, g4 = batch_forward_backward(spec, docs, labels, workers=4)
-        tol = {"rtol": 1e-9, "atol": 1e-11} if mode == "float64" else \
-            {"rtol": 1e-4, "atol": 1e-6}
-        np.testing.assert_allclose(loss1, loss4, **tol)
-        for name in g1:
+        _, grads = batch_forward_backward(spec, docs, labels)
+        for name in grads:
             sparse = name == "br1.w" or ".wx." in name
-            assert isinstance(g1[name], ColumnGrad) == sparse, name
-            if name.startswith("br1."):  # conv: one sequential pass either way
-                np.testing.assert_array_equal(np.asarray(g1[name]),
-                                              np.asarray(g4[name]))
-            else:
-                np.testing.assert_allclose(np.asarray(g1[name]),
-                                           np.asarray(g4[name]), **tol)
+            assert isinstance(grads[name], ColumnGrad) == sparse, name
