@@ -12,7 +12,6 @@ from .corpus import (
     TokenSequence,
     Vocabulary,
     build_vocab,
-    chop,
     encode,
     region_bow,
     region_concat,
@@ -25,7 +24,6 @@ from .lstm import (
     LstmParams,
     LstmState,
     SideInputParams,
-    embedding_layer,
     fold_embedding,
     forward_sequence,
     lstm_step,

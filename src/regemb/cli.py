@@ -77,8 +77,6 @@ def _add_optimizer(p):
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--chop", type=int, default=None)
     p.add_argument("--overlap", type=int, default=0)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--dev-fraction", type=float, default=0.1)
 
 
 def build_parser() -> _Parser:
@@ -119,6 +117,8 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=int, default=30000)
     p.add_argument("--target-encoding", choices=("01", "pm1"), default="01")
     p.add_argument("--out", required=True)
+    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--dev-fraction", type=float, default=0.1)
     _add_optimizer(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
@@ -135,6 +135,8 @@ def build_parser() -> _Parser:
     p.add_argument("--target-vocab", required=True)
     p.add_argument("--unlabeled", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--dev-fraction", type=float, default=0.1,
+                   help="accepted and ignored (tv training holds out no dev set)")
     _add_optimizer(p)
     _add_common(p)
     p.set_defaults(func=cmd_train_tv)
@@ -350,6 +352,7 @@ def build_model(args, vocab, n_classes, class_names, rng) -> model_mod.ModelSpec
 
 
 def cmd_build_vocab(args):
+    _check_positive(args, "size")
     docs = corpus.load_token_file(args.input, args.pretokenized)
     if args.stopwords:
         # rank the whole corpus first so exclusion does not under-fill the cap
@@ -371,13 +374,13 @@ def _load_or_build_vocab(args, token_docs):
     return corpus.build_vocab(token_docs, args.vocab_size)
 
 
-def _train_config(args):
+def _train_config(args, **extra):
     return _checked(
         optim.TrainConfig,
         lr=args.lr, momentum=args.momentum, rmsprop=args.rmsprop,
         rmsprop_decay=args.rmsprop_decay, rmsprop_eps=args.rmsprop_eps,
         minibatch=args.minibatch, epochs=args.epochs, chop_len=args.chop,
-        chop_overlap=args.overlap, dropout_rate=args.dropout, seed=args.seed,
+        chop_overlap=args.overlap, seed=args.seed, **extra,
     )
 
 
@@ -386,7 +389,7 @@ def cmd_train(args):
     _check_positive(args, "units", "maps", "region", "embed_dim", "vocab_size")
     if not 0 <= args.dev_fraction < 1:
         _usage("--dev-fraction must be in [0, 1)")
-    cfg = _train_config(args)
+    cfg = _train_config(args, dropout_rate=args.dropout)
     _set_precision_flag(args)
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
     vocab = _load_or_build_vocab(args, token_docs)
@@ -494,6 +497,9 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
+    _check_positive(args, "units", "maps", "region", "vocab_size", "doc_len", "classes")
+    if not args.eps > 0:
+        _usage("--eps must be > 0")
     set_precision("float64")
     rng = RngSpec(args.seed)
     gen = rng.stream("data")
@@ -512,11 +518,15 @@ def cmd_gradcheck(args):
     spec = build_model(args, vocab, args.classes, class_names, rng)
     if args.with_tv:
         emb_params = lstm_mod.LstmParams.create("full", 3, args.vocab_size,
-                                                "one-hot", gen)
+                                                "one-hot", gen, std=0.5)
         emb = tv_mod.TvEmbedding(kind="lstm", dim=3, name="tv0",
                                  lstm_params=emb_params,
                                  direction="forward").freeze()
         model_mod.attach_embeddings(spec, [emb], gen)
+    # At the init std of 0.01 many gradients are ~1e-8, below what central
+    # differences resolve; std 0.4 gives gradients the check can judge.
+    for _, param in model_mod.iter_params(spec):
+        param *= 40.0
     doc = corpus.TokenSequence(gen.integers(0, args.vocab_size, args.doc_len))
     label = int(gen.integers(0, args.classes))
     report = optim.grad_check(spec, doc, label, eps=args.eps,

@@ -19,8 +19,6 @@ from .numkernel import ColumnGrad, RngSpec, gaussian_init, relu, scatter_add_col
 
 INIT_STD = 0.01
 
-CONV_GATE = "w"  # single pre-activation slot; side matrices use this key
-
 
 @dataclass
 class ConvParams:
@@ -57,8 +55,7 @@ class ConvParams:
         return ConvParams(
             self.maps, self.region_size, self.input_kind, self.vocab_size,
             self.w.copy(), self.b.copy(),
-            [SideInputParams(s.tv_id, s.dim, {CONV_GATE: s.w[CONV_GATE].copy()})
-             for s in self.side],
+            [SideInputParams(s.tv_id, s.dim, s.w.copy()) for s in self.side],
         )
 
 
@@ -66,7 +63,7 @@ class ConvParams:
 class ConvGrads:
     w: ColumnGrad  # only the columns of the region's words are nonzero
     b: np.ndarray
-    side: list
+    side: list  # per side channel, (maps, dim)
 
 
 def _offset_weights(params, offset):
@@ -100,7 +97,7 @@ def pre_activation(params: ConvParams, ids_or_seq, side_seq=None) -> np.ndarray:
         sv = np.asarray(sv, dtype=params.dtype)
         if sv.shape != (sp.dim, total):
             raise ValueError(f"side input: expected ({sp.dim}, {total}), got {sv.shape}")
-        pre += sp.w[CONV_GATE] @ sv
+        pre += sp.w @ sv
     return pre
 
 
@@ -124,16 +121,11 @@ def backward_from_mask(params, ids_or_seq, mask, upstream, side_seq=None,
     w_grad = ColumnGrad.over(params.w.shape, col_ids, params.dtype)
     for offset, cols in enumerate(col_ids):
         scatter_add_columns(w_grad.block, w_grad.slots(cols), dpre[:, :total - offset])
-    grads = ConvGrads(w_grad, np.zeros_like(params.b),
-                      [{CONV_GATE: np.zeros_like(s.w[CONV_GATE])} for s in params.side])
-    grads.b += dpre.sum(axis=1)
-    side_value_grads = [] if want_side_values_grad else None
-    for j, sv in enumerate(side_seq):
-        sv = np.asarray(sv, dtype=params.dtype)
-        grads.side[j][CONV_GATE] += dpre @ sv.T
+    grads = ConvGrads(w_grad, dpre.sum(axis=1),
+                      [dpre @ np.asarray(sv, dtype=params.dtype).T for sv in side_seq])
+    side_value_grads = None
     if want_side_values_grad:
-        for sp in params.side:
-            side_value_grads.append(sp.w[CONV_GATE].T @ dpre)
+        side_value_grads = [sp.w.T @ dpre for sp in params.side]
     return grads, side_value_grads
 
 
@@ -144,15 +136,14 @@ def batch_backward_from_mask(params, docs, masks, upstreams, side_list=None):
         side_list = [None] * len(docs)
     w_grads = []
     b_grad = np.zeros_like(params.b)
-    side_grads = [np.zeros_like(sp.w[CONV_GATE]) for sp in params.side]
+    side_grads = [np.zeros_like(sp.w) for sp in params.side]
     for doc, mask, up, sides in zip(docs, masks, upstreams, side_list):
         cg, _ = backward_from_mask(params, doc, mask, up, sides)
         w_grads.append(cg.w)
         b_grad += cg.b
         for total, sg in zip(side_grads, cg.side):
-            total += sg[CONV_GATE]
-    return ConvGrads(ColumnGrad.sum(w_grads), b_grad,
-                     [{CONV_GATE: total} for total in side_grads])
+            total += sg
+    return ConvGrads(ColumnGrad.sum(w_grads), b_grad, side_grads)
 
 
 def conv_gradients(params: ConvParams, ids_or_seq, upstream, side_seq=None,

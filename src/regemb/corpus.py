@@ -103,7 +103,6 @@ class TokenSequence:
     ids: np.ndarray
     label: int | None = None
     raw_len: int = 0
-    offset: int = 0  # position within the parent document, for chop segments
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -209,19 +208,6 @@ def region_bow(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVector
     window = ids[loc:min(loc + size, len(ids))]
     uniq, counts = np.unique(window, return_counts=True)
     return SparseVector(vocab_size, uniq, counts.astype(float))
-
-
-def chop(seq: TokenSequence, seg_len: int) -> list:
-    """Consecutive non-overlapping segments; each remembers its offset."""
-    if seg_len < 1:
-        raise ValueError("seg_len must be >= 1")
-    segments = []
-    for start in range(0, len(seq), seg_len):
-        piece = seq.ids[start:start + seg_len]
-        segments.append(
-            TokenSequence(piece, label=seq.label, raw_len=len(piece), offset=seq.offset + start)
-        )
-    return segments
 
 
 def target_vocab(vocab: Vocabulary, stop: StopwordList, size_limit: int) -> Vocabulary:

@@ -10,7 +10,8 @@ Two cell variants: the full four-gate cell
 and the simplified cell with input/output gates removed (fixed to ones):
     c_t = u_t + f_t * c_{t-1},   h_t = tanh(c_t)
 Side channels add trainable terms W~_jg @ xtilde_jt inside every gate
-pre-activation.
+pre-activation.  Every tensor stacks the gates as row blocks, so all
+gates of a step come from one matrix product.
 
 Sequences are processed by a batched engine that sorts segments by length
 and steps a shrinking active prefix, so many segments (from chopping or
@@ -37,6 +38,8 @@ from .numkernel import (
     sigmoid,
 )
 
+# The candidate update "u" is the last gate of either variant: every row
+# block above it goes through a sigmoid, the last one through a tanh.
 GATES = {"full": ("i", "o", "f", "u"), "simplified": ("f", "u")}
 
 INIT_STD = 0.01
@@ -44,40 +47,37 @@ INIT_STD = 0.01
 
 @dataclass
 class SideInputParams:
-    """Trainable matrices feeding one frozen embedding's output into gates.
-
-    `w` maps gate name to a (units, dim) matrix; convolution layers use the
-    single key "w".
-    """
+    """Trainable (rows, dim) matrix feeding one frozen embedding's output
+    into a layer: the rows are an LSTM cell's stacked gate rows or a
+    convolution layer's maps."""
 
     tv_id: str
     dim: int
-    w: dict
+    w: np.ndarray
 
 
 @dataclass
 class LstmParams:
+    """One cell.  Each tensor stacks a row block of `units` rows per gate,
+    in GATES order: wx (G*units, input_dim), wh (G*units, units) and bias
+    (G*units,); so does every side matrix."""
+
     variant: str
     units: int
     input_dim: int
     input_kind: str  # "one-hot" | "dense"
-    wx: dict  # gate -> (units, input_dim)
-    wh: dict  # gate -> (units, units)
-    bias: dict  # gate -> (units,)
+    wx: np.ndarray
+    wh: np.ndarray
+    bias: np.ndarray
     side: list = field(default_factory=list)
 
     def __post_init__(self):
-        gates = self.gates()
-        for store, shape in ((self.wx, (self.units, self.input_dim)),
-                             (self.wh, (self.units, self.units))):
-            if set(store) != set(gates):
-                raise ValueError(f"{self.variant} variant needs exactly gates {gates}")
-            for g in gates:
-                if store[g].shape != shape:
-                    raise ValueError(f"gate {g}: expected shape {shape}, got {store[g].shape}")
-        for g in gates:
-            if self.bias[g].shape != (self.units,):
-                raise ValueError(f"gate {g}: bias must have dim {self.units}")
+        rows = len(self.gates()) * self.units
+        for name, shape in (("wx", (rows, self.input_dim)), ("wh", (rows, self.units)),
+                            ("bias", (rows,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{self.variant} cell {name}: expected shape {shape}, "
+                                 f"got {getattr(self, name).shape}")
 
     def gates(self) -> tuple:
         if self.variant not in GATES:
@@ -86,35 +86,47 @@ class LstmParams:
 
     @property
     def dtype(self):
-        return self.wx[self.gates()[0]].dtype
+        return self.wx.dtype
 
     @classmethod
     def create(cls, variant, units, input_dim, input_kind="one-hot", rng=None, std=INIT_STD):
         gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
-        wx, wh, bias = {}, {}, {}
-        for g in GATES[variant]:
-            wx[g] = gaussian_init(units, input_dim, std, gen)
-            wh[g] = gaussian_init(units, units, std, gen)
-            bias[g] = np.zeros(units, dtype=wx[g].dtype)
-        return cls(variant, units, input_dim, input_kind, wx, wh, bias)
+        wx, wh = [], []
+        for _ in GATES[variant]:  # the draws alternate wx, wh gate by gate
+            wx.append(gaussian_init(units, input_dim, std, gen))
+            wh.append(gaussian_init(units, units, std, gen))
+        wx = np.concatenate(wx)
+        return cls(variant, units, input_dim, input_kind, wx, np.concatenate(wh),
+                   np.zeros(wx.shape[0], dtype=wx.dtype))
 
     def copy(self) -> "LstmParams":
         return LstmParams(
             self.variant, self.units, self.input_dim, self.input_kind,
-            {g: m.copy() for g, m in self.wx.items()},
-            {g: m.copy() for g, m in self.wh.items()},
-            {g: v.copy() for g, v in self.bias.items()},
-            [SideInputParams(s.tv_id, s.dim, {g: m.copy() for g, m in s.w.items()})
-             for s in self.side],
+            self.wx.copy(), self.wh.copy(), self.bias.copy(),
+            [SideInputParams(s.tv_id, s.dim, s.w.copy()) for s in self.side],
         )
 
 
-def gate_tensors(obj, gates, prefix=""):
-    """(name, array) for the wx, wh and bias of each gate, gate by gate, of
-    an LstmParams or LstmGrads; the order is the saved tensor order."""
-    for g in gates:
+def _gate_rows(params) -> dict:
+    """Gate name -> its row block in the stacked tensors."""
+    u = params.units
+    return {g: slice(k * u, (k + 1) * u) for k, g in enumerate(params.gates())}
+
+
+def gate_tensors(params, prefix="", grads=None):
+    """(name, row block) for every per-gate tensor of a cell, in the saved
+    order: wx, wh and bias of each gate, then each side channel's gates.
+    The blocks view the tensors of `params`, or those of `grads` (an
+    LstmGrads of this cell) when given."""
+    src = params if grads is None else grads
+    sides = [sp.w for sp in params.side] if grads is None else grads.side
+    rows = _gate_rows(params)
+    for g, block in rows.items():
         for kind in ("wx", "wh", "bias"):
-            yield f"{prefix}{kind}.{g}", getattr(obj, kind)[g]
+            yield f"{prefix}{kind}.{g}", getattr(src, kind)[block]
+    for sp, w in zip(params.side, sides):
+        for g, block in rows.items():
+            yield f"{prefix}side.{sp.tv_id}.{g}", w[block]
 
 
 @dataclass
@@ -135,35 +147,20 @@ class GateOverride:
     input_gate_one: bool = False
     output_gate_one: bool = False
 
+    def fixed_rows(self, rows: dict) -> list:
+        """Row blocks of the gates held at one (none in a simplified cell)."""
+        held = (("i", self.input_gate_one), ("o", self.output_gate_one))
+        return [rows[g] for g, on in held if on and g in rows]
+
 
 @dataclass
 class LstmGrads:
-    wx: dict  # gate -> ColumnGrad (one-hot cells) or dense matrix
-    wh: dict
-    bias: dict
-    side: list  # per side channel: gate -> matrix
+    """Gradients of one cell, stacked like its LstmParams."""
 
-    @classmethod
-    def zeros_like(cls, params: LstmParams) -> "LstmGrads":
-        one_hot = params.input_kind == "one-hot"
-        return cls(
-            {g: ColumnGrad.over(m.shape, [], m.dtype) if one_hot else np.zeros_like(m)
-             for g, m in params.wx.items()},
-            {g: np.zeros_like(m) for g, m in params.wh.items()},
-            {g: np.zeros_like(v) for g, v in params.bias.items()},
-            [{g: np.zeros_like(m) for g, m in s.w.items()} for s in params.side],
-        )
-
-
-def _gate_pre(params, g, x, h_prev, side_vals):
-    if isinstance(x, SparseVector):
-        pre = affine_sparse(params.wx[g], params.bias[g], x)
-    else:
-        pre = affine_dense(params.wx[g], params.bias[g], np.asarray(x))
-    pre = pre + params.wh[g] @ h_prev
-    for sp, val in zip(params.side, side_vals):
-        pre = pre + sp.w[g] @ val
-    return pre
+    wx: ColumnGrad | np.ndarray  # a ColumnGrad for one-hot cells
+    wh: np.ndarray
+    bias: np.ndarray
+    side: list  # per side channel, (rows, dim)
 
 
 def lstm_step(params, x, prev: LstmState, side_vals=(), override=None) -> LstmState:
@@ -173,22 +170,23 @@ def lstm_step(params, x, prev: LstmState, side_vals=(), override=None) -> LstmSt
         raise ValueError(f"input dim {x_dim} != params input_dim {params.input_dim}")
     if len(side_vals) != len(params.side):
         raise ValueError(f"expected {len(params.side)} side inputs, got {len(side_vals)}")
+    if isinstance(x, SparseVector):
+        pre = affine_sparse(params.wx, params.bias, x)
+    else:
+        pre = affine_dense(params.wx, params.bias, np.asarray(x))
+    pre = pre + params.wh @ prev.h
+    for sp, val in zip(params.side, side_vals):
+        pre = pre + sp.w @ val
+    rows = _gate_rows(params)
+    f = sigmoid(pre[rows["f"]])
+    u = np.tanh(pre[rows["u"]])
     if params.variant == "simplified":
-        f = sigmoid(_gate_pre(params, "f", x, prev.h, side_vals))
-        u = np.tanh(_gate_pre(params, "u", x, prev.h, side_vals))
         c = u + f * prev.c
         return LstmState(c, np.tanh(c))
     ov = override or GateOverride()
-    if ov.input_gate_one:
-        i = np.ones(params.units, dtype=params.dtype)
-    else:
-        i = sigmoid(_gate_pre(params, "i", x, prev.h, side_vals))
-    if ov.output_gate_one:
-        o = np.ones(params.units, dtype=params.dtype)
-    else:
-        o = sigmoid(_gate_pre(params, "o", x, prev.h, side_vals))
-    f = sigmoid(_gate_pre(params, "f", x, prev.h, side_vals))
-    u = np.tanh(_gate_pre(params, "u", x, prev.h, side_vals))
+    ones = np.ones(params.units, dtype=params.dtype)
+    i = ones if ov.input_gate_one else sigmoid(pre[rows["i"]])
+    o = ones if ov.output_gate_one else sigmoid(pre[rows["o"]])
     c = i * u + f * prev.c
     return LstmState(c, o * np.tanh(c))
 
@@ -197,9 +195,10 @@ def lstm_step(params, x, prev: LstmState, side_vals=(), override=None) -> LstmSt
 # Batched engine.
 #
 # Segments are sorted by length (descending); at step t only the prefix of
-# segments longer than t is active, so state slices stay contiguous.  Input
-# and side contributions to gate pre-activations are precomputed in one
-# gather/matmul per gate over all valid (step, segment) pairs.
+# segments longer than t is active, so state slices stay contiguous.  The
+# input and side contributions to every gate's pre-activation are
+# precomputed in one gather or product over all valid (step, segment)
+# pairs; each step then makes one Wh product over the stacked gates.
 # ---------------------------------------------------------------------------
 
 
@@ -216,7 +215,12 @@ class _BatchCache:
     flat_ids: np.ndarray | None  # (n_valid,) word ids, one-hot inputs
     x_flat: np.ndarray | None  # (n_valid, input_dim), dense inputs
     sv_flat: list  # per side channel: (n_valid, dim)
-    acts: dict  # activation name -> (t_max, units, n_seqs)
+    gates: np.ndarray  # (t_max, G*units, n_seqs) gate activations
+    tc: np.ndarray  # (t_max, units, n_seqs) tanh(c_t)
+    # c and h hold the zero initial state at index 0: step t reads index t
+    # and writes index t + 1
+    c: np.ndarray  # (t_max + 1, units, n_seqs)
+    h: np.ndarray
 
 
 def _normalize_input(params, item):
@@ -230,18 +234,6 @@ def _normalize_input(params, item):
     if arr.ndim != 2 or arr.shape[0] != params.input_dim:
         raise ValueError(f"dense input must be ({params.input_dim}, T)")
     return arr
-
-
-def _grad_gates(params, override):
-    gates = params.gates()
-    if params.variant == "simplified":
-        return gates
-    skip = set()
-    if override.input_gate_one:
-        skip.add("i")
-    if override.output_gate_one:
-        skip.add("o")
-    return tuple(g for g in gates if g not in skip)
 
 
 def batch_forward(params, seqs, side_seqs=None, override=None):
@@ -267,19 +259,12 @@ def batch_forward(params, seqs, side_seqs=None, override=None):
 
     lengths = np.array([(s.shape[0] if one_hot else s.shape[1]) for s in seqs], dtype=np.int64)
     t_max = int(lengths.max()) if n else 0
-    if t_max == 0:
-        cache = _BatchCache(params, override, np.arange(n), lengths, lengths,
-                            np.zeros(0, np.int64), np.zeros(0, np.int64),
-                            np.zeros(0, np.int64), None, None, [], {})
-        return [np.zeros((units, 0), dtype=dt) for _ in seqs], cache
-
     order = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[order]
     widths = np.searchsorted(-sorted_lengths, -np.arange(t_max), side="left")
-    starts = np.concatenate(([0], np.cumsum(widths[:-1])))
     n_valid = int(widths.sum())
     t_idx = np.repeat(np.arange(t_max), widths)
-    k_idx = np.arange(n_valid) - np.repeat(starts, widths)
+    k_idx = np.arange(n_valid) - np.repeat(np.cumsum(widths) - widths, widths)
 
     flat_ids = None
     x_flat = None
@@ -288,11 +273,13 @@ def batch_forward(params, seqs, side_seqs=None, override=None):
         for pos, k in enumerate(order):
             id_pad[pos, :lengths[k]] = seqs[k]
         flat_ids = id_pad[k_idx, t_idx]
+        zf = params.wx[:, flat_ids]
     else:
         x_pad = np.zeros((n, params.input_dim, t_max), dtype=dt)
         for pos, k in enumerate(order):
             x_pad[pos, :, :lengths[k]] = seqs[k]
         x_flat = x_pad[k_idx, :, t_idx]
+        zf = params.wx @ x_flat.T
 
     sv_flat = []
     for j, sp in enumerate(params.side):
@@ -305,59 +292,48 @@ def batch_forward(params, seqs, side_seqs=None, override=None):
                 )
             sv_pad[pos, :, :lengths[k]] = mat
         sv_flat.append(sv_pad[k_idx, :, t_idx])
+        zf += sp.w @ sv_flat[-1].T
 
-    gates = params.gates()
-    active = _grad_gates(params, override)
-    z = {}
-    for g in active:
-        zf = params.wx[g][:, flat_ids] if one_hot else params.wx[g] @ x_flat.T
-        for j, sp in enumerate(params.side):
-            zf = zf + sp.w[g] @ sv_flat[j].T
-        zg = np.zeros((t_max, units, n), dtype=dt)
-        zg[t_idx, :, k_idx] = zf.T
-        zg += params.bias[g][None, :, None]
-        z[g] = zg
+    n_rows = params.wx.shape[0]
+    z = np.zeros((t_max, n_rows, n), dtype=dt)
+    z[t_idx, :, k_idx] = zf.T
+    z += params.bias[None, :, None]
 
+    rows = _gate_rows(params)
+    fixed = override.fixed_rows(rows)
     full = params.variant == "full"
-    names = ["f", "u", "c", "tc", "h"] + (["i", "o"] if full else [])
-    acts = {nm: np.zeros((t_max, units, n), dtype=dt) for nm in names}
-    h_state = np.zeros((units, n), dtype=dt)
-    c_state = np.zeros((units, n), dtype=dt)
+    gates = np.zeros((t_max, n_rows, n), dtype=dt)
+    tcs = np.zeros((t_max, units, n), dtype=dt)
+    cs = np.zeros((t_max + 1, units, n), dtype=dt)
+    hs = np.zeros((t_max + 1, units, n), dtype=dt)
 
     for t in range(t_max):
         nt = widths[t]
-        h_prev = h_state[:, :nt]
-        c_prev = c_state[:, :nt]
-        pre = {g: z[g][t][:, :nt] + params.wh[g] @ h_prev for g in active}
-        f = sigmoid(pre["f"])
-        u = np.tanh(pre["u"])
+        pre = z[t][:, :nt] + params.wh @ hs[t][:, :nt]
+        act = gates[t][:, :nt]
+        act[:-units] = sigmoid(pre[:-units])
+        act[-units:] = np.tanh(pre[-units:])
+        for block in fixed:
+            act[block] = 1.0
+        f, u = act[rows["f"]], act[rows["u"]]
         if full:
-            i = sigmoid(pre["i"]) if not override.input_gate_one else np.ones((units, nt), dt)
-            o = sigmoid(pre["o"]) if not override.output_gate_one else np.ones((units, nt), dt)
-            c = i * u + f * c_prev
+            c = act[rows["i"]] * u + f * cs[t][:, :nt]
             tc = np.tanh(c)
-            h = o * tc
-            acts["i"][t][:, :nt] = i
-            acts["o"][t][:, :nt] = o
+            h = act[rows["o"]] * tc
         else:
-            c = u + f * c_prev
+            c = u + f * cs[t][:, :nt]
             tc = np.tanh(c)
             h = tc
-        acts["f"][t][:, :nt] = f
-        acts["u"][t][:, :nt] = u
-        acts["c"][t][:, :nt] = c
-        acts["tc"][t][:, :nt] = tc
-        acts["h"][t][:, :nt] = h
-        h_state[:, :nt] = h
-        c_state[:, :nt] = c
+        tcs[t][:, :nt] = tc
+        cs[t + 1][:, :nt] = c
+        hs[t + 1][:, :nt] = h
 
     outs = [None] * n
-    hs = acts["h"]
     for pos, k in enumerate(order):
-        outs[k] = np.ascontiguousarray(hs[:lengths[k], :, pos].T)
+        outs[k] = np.ascontiguousarray(hs[1:lengths[k] + 1, :, pos].T)
 
     cache = _BatchCache(params, override, order, lengths, sorted_lengths, widths,
-                        t_idx, k_idx, flat_ids, x_flat, sv_flat, acts)
+                        t_idx, k_idx, flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
     return outs, cache
 
 
@@ -385,16 +361,10 @@ def batch_backward(cache, upstreams, want_side_values_grad=False, want_input_gra
     units = params.units
     dt = params.dtype
     n = len(cache.lengths)
-    grads = LstmGrads.zeros_like(params)
-    t_max = int(cache.sorted_lengths[0]) if n else 0
-    if t_max == 0:
-        empty_sv = [[np.zeros((sp.dim, 0), dt) for sp in params.side] for _ in range(n)]
-        return grads, (empty_sv if want_side_values_grad else None), None
-
     widths = cache.widths
-    acts = cache.acts
-    full = params.variant == "full"
-    active = _grad_gates(params, cache.override)
+    t_max = len(widths)
+    if want_input_grad and params.input_kind != "dense":
+        raise ValueError("input gradients only exist for dense inputs")
 
     up = np.zeros((t_max, units, n), dtype=dt)
     for pos, k in enumerate(cache.order):
@@ -404,83 +374,50 @@ def batch_backward(cache, upstreams, want_side_values_grad=False, want_input_gra
             raise ValueError(f"upstream for segment {k}: expected ({units}, {length})")
         up[:length, :, pos] = mat.T
 
-    dpre_store = {g: np.zeros((t_max, units, n), dtype=dt) for g in active}
+    rows = _gate_rows(params)
+    fixed = cache.override.fixed_rows(rows)
+    full = params.variant == "full"
+    dpre_all = np.zeros_like(cache.gates)
     dh_carry = np.zeros((units, n), dtype=dt)
     dc_carry = np.zeros((units, n), dtype=dt)
 
     for t in range(t_max - 1, -1, -1):
         nt = widths[t]
+        act = cache.gates[t][:, :nt]
+        f, u = act[rows["f"]], act[rows["u"]]
+        tc = cache.tc[t][:, :nt]
         dh = up[t][:, :nt] + dh_carry[:, :nt]
-        c_prev = acts["c"][t - 1][:, :nt] if t else np.zeros((units, nt), dtype=dt)
-        f = acts["f"][t][:, :nt]
-        u = acts["u"][t][:, :nt]
-        tc = acts["tc"][t][:, :nt]
-        dpre = {}
+        dpre = dpre_all[t][:, :nt]
         if full:
-            i = acts["i"][t][:, :nt]
-            o = acts["o"][t][:, :nt]
+            i, o = act[rows["i"]], act[rows["o"]]
             dc = dc_carry[:, :nt] + dh * o * (1.0 - tc * tc)
-            if "o" in active:
-                do = dh * tc
-                dpre["o"] = do * o * (1.0 - o)
-            if "i" in active:
-                di = dc * u
-                dpre["i"] = di * i * (1.0 - i)
+            dpre[rows["o"]] = dh * tc * o * (1.0 - o)
+            dpre[rows["i"]] = dc * u * i * (1.0 - i)
             du = dc * i
         else:
             dc = dc_carry[:, :nt] + dh * (1.0 - tc * tc)
             du = dc
-        df = dc * c_prev
+        dpre[rows["f"]] = dc * cache.c[t][:, :nt] * f * (1.0 - f)
+        dpre[rows["u"]] = du * (1.0 - u * u)
+        for block in fixed:
+            dpre[block] = 0.0
         dc_carry[:, :nt] = dc * f
-        dpre["f"] = df * f * (1.0 - f)
-        dpre["u"] = du * (1.0 - u * u)
-        dh_prev = params.wh[active[0]].T @ dpre[active[0]]
-        for g in active[1:]:
-            dh_prev += params.wh[g].T @ dpre[g]
-        dh_carry[:, :nt] = dh_prev
-        for g in active:
-            dpre_store[g][t][:, :nt] = dpre[g]
-        if t:
-            h_prev = acts["h"][t - 1][:, :nt]
-            for g in active:
-                grads.wh[g] += dpre[g] @ h_prev.T
+        dh_carry[:, :nt] = params.wh.T @ dpre
 
-    flat = {g: dpre_store[g][cache.t_idx, :, cache.k_idx] for g in active}
+    flat = dpre_all[cache.t_idx, :, cache.k_idx]  # (n_valid, G*units)
     if params.input_kind == "one-hot":
-        touched = ColumnGrad.over(params.wx[active[0]].shape, [cache.flat_ids], dt)
-        slots = touched.slots(cache.flat_ids)
-    for g in active:
-        grads.bias[g] += flat[g].sum(axis=0)
-        if params.input_kind == "one-hot":
-            grads.wx[g] = ColumnGrad(touched.shape, touched.cols,
-                                     np.zeros_like(touched.block))
-            scatter_add_columns(grads.wx[g].block, slots, flat[g].T)
-        else:
-            grads.wx[g] += flat[g].T @ cache.x_flat
-        for j, sp in enumerate(params.side):
-            grads.side[j][g] += flat[g].T @ cache.sv_flat[j]
+        wx = ColumnGrad.over(params.wx.shape, [cache.flat_ids], dt)
+        scatter_add_columns(wx.block, wx.slots(cache.flat_ids), flat.T)
+    else:
+        wx = flat.T @ cache.x_flat
+    grads = LstmGrads(wx, flat.T @ cache.h[cache.t_idx, :, cache.k_idx],
+                      flat.sum(axis=0), [flat.T @ sv for sv in cache.sv_flat])
 
     side_value_grads = None
     if want_side_values_grad:
-        side_value_grads = [None] * n
-        per_j = []
-        for j, sp in enumerate(params.side):
-            dsv = flat[active[0]] @ params.side[j].w[active[0]]
-            for g in active[1:]:
-                dsv += flat[g] @ params.side[j].w[g]
-            per_j.append(_unpack_rows(dsv, cache))
-        for k in range(n):
-            side_value_grads[k] = [per_j[j][k] for j in range(len(params.side))]
-
-    input_grads = None
-    if want_input_grad:
-        if params.input_kind != "dense":
-            raise ValueError("input gradients only exist for dense inputs")
-        dx = flat[active[0]] @ params.wx[active[0]]
-        for g in active[1:]:
-            dx += flat[g] @ params.wx[g]
-        input_grads = _unpack_rows(dx, cache)
-
+        per_j = [_unpack_rows(flat @ sp.w, cache) for sp in params.side]
+        side_value_grads = [[dsv[k] for dsv in per_j] for k in range(n)]
+    input_grads = _unpack_rows(flat @ params.wx, cache) if want_input_grad else None
     return grads, side_value_grads, input_grads
 
 
@@ -636,15 +573,8 @@ def sequence_gradients(params, inputs, upstream, seg_len=None, side_seq=None,
     return grads, (dsv_docs[0] if want_side_values_grad else None)
 
 
-def embedding_layer(emb: np.ndarray, word_id: int) -> np.ndarray:
-    """Column `word_id` of the embedding matrix (the word's vector)."""
-    if not 0 <= word_id < emb.shape[1]:
-        raise ValueError(f"word id {word_id} out of range for {emb.shape[1]} columns")
-    return emb[:, word_id].copy()
-
-
 def fold_embedding(params: LstmParams, emb: np.ndarray) -> LstmParams:
-    """Absorb a word embedding into the input weights: wx_g <- wx_g @ emb.
+    """Absorb a word embedding into the input weights: wx <- wx @ emb.
 
     The returned one-hot cell behaves identically to the dense cell applied
     to embedded inputs.
@@ -656,6 +586,5 @@ def fold_embedding(params: LstmParams, emb: np.ndarray) -> LstmParams:
     folded = params.copy()
     return LstmParams(
         params.variant, params.units, emb.shape[1], "one-hot",
-        {g: params.wx[g] @ emb for g in params.gates()},
-        folded.wh, folded.bias, folded.side,
+        params.wx @ emb, folded.wh, folded.bias, folded.side,
     )

@@ -166,17 +166,12 @@ def iter_params(spec: ModelSpec):
             if branch.embedding is not None and branch.train_embedding:
                 yield f"{pre}.emb", branch.embedding
             for tag, params, _ in branch.parts():
-                yield from lstm_mod.gate_tensors(params, params.gates(),
-                                                 f"{pre}.{tag}.")
-                for sp in params.side:
-                    for g in params.gates():
-                        yield f"{pre}.{tag}.side.{sp.tv_id}.{g}", sp.w[g]
+                yield from lstm_mod.gate_tensors(params, f"{pre}.{tag}.")
         else:
             yield f"{pre}.w", branch.params.w
             yield f"{pre}.b", branch.params.b
             for sp in branch.params.side:
-                yield f"{pre}.side.{sp.tv_id}.{conv_mod.CONV_GATE}", \
-                    sp.w[conv_mod.CONV_GATE]
+                yield f"{pre}.side.{sp.tv_id}.w", sp.w
     yield "top.w", spec.top.w
     yield "top.b", spec.top.b
 
@@ -297,8 +292,7 @@ def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
         grads[f"{prefix}.w"] = cg.w
         grads[f"{prefix}.b"] = cg.b
         for sp, sg in zip(params.side, cg.side):
-            grads[f"{prefix}.side.{sp.tv_id}.{conv_mod.CONV_GATE}"] = \
-                sg[conv_mod.CONV_GATE]
+            grads[f"{prefix}.side.{sp.tv_id}.w"] = sg
         return
 
     parts = branch.parts()
@@ -319,11 +313,7 @@ def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
             for doc, dx_doc in zip(docs, dx):
                 ids = doc.ids[::-1] if reverse else doc.ids
                 scatter_add_columns(emb_grad.block, emb_grad.slots(ids), dx_doc)
-        p2 = f"{prefix}.{tag}"
-        grads.update(lstm_mod.gate_tensors(lg, params.gates(), f"{p2}."))
-        for sp, sg in zip(params.side, lg.side):
-            for g in params.gates():
-                grads[f"{p2}.side.{sp.tv_id}.{g}"] = sg[g]
+        grads.update(lstm_mod.gate_tensors(params, f"{prefix}.{tag}.", lg))
 
 
 def _pooled_forward(spec, docs, tv_list, chop_len, overlap):

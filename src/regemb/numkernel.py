@@ -228,6 +228,13 @@ class ColumnGrad:
         """Block positions of column ids (each must be in `cols`)."""
         return np.searchsorted(self.cols, ids)
 
+    def __getitem__(self, rows: slice) -> "ColumnGrad":
+        """The gradient of a row block: same `cols`, a view of the block."""
+        if not isinstance(rows, slice):
+            raise TypeError("a ColumnGrad takes only a row slice")
+        block = self.block[rows]
+        return ColumnGrad((block.shape[0], self.shape[1]), self.cols, block)
+
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a ColumnGrad has no dense view; densifying copies")

@@ -133,13 +133,8 @@ def _tv_config(emb: tv_mod.TvEmbedding) -> dict:
 
 def _tv_from_config(cfg: dict, tensors: dict, prefix: str = "") -> tv_mod.TvEmbedding:
     if cfg["kind"] == "lstm":
-        gates = lstm_mod.GATES["full"]
-        params = lstm_mod.LstmParams(
-            "full", cfg["dim"], cfg["vocab_size"], "one-hot",
-            {g: tensors[f"{prefix}wx.{g}"] for g in gates},
-            {g: tensors[f"{prefix}wh.{g}"] for g in gates},
-            {g: _vec(tensors, f"{prefix}bias.{g}") for g in gates},
-        )
+        params = _lstm_from(tensors, prefix, "full", cfg["dim"], cfg["vocab_size"],
+                            "one-hot", [])
         emb = tv_mod.TvEmbedding(
             kind="lstm", dim=cfg["dim"], name=cfg["name"], lstm_params=params,
             direction=cfg["direction"], align_offset=cfg["align_offset"],
@@ -231,22 +226,23 @@ def save_model(path, spec: model_mod.ModelSpec) -> None:
     save_tensors(path, metadata, model_mod.iter_tensors(spec))
 
 
-def _lstm_part_from(cfg_part, tensors, prefix, input_kind, tv_table):
-    gates = lstm_mod.GATES[cfg_part["variant"]]
-    side = []
-    for tv_id in cfg_part["side"]:
-        emb = tv_table[tv_id]
-        side.append(lstm_mod.SideInputParams(
-            tv_id, emb.dim,
-            {g: tensors[f"{prefix}.side.{tv_id}.{g}"] for g in gates},
-        ))
-    return lstm_mod.LstmParams(
-        cfg_part["variant"], cfg_part["units"], cfg_part["input_dim"], input_kind,
-        {g: tensors[f"{prefix}.wx.{g}"] for g in gates},
-        {g: tensors[f"{prefix}.wh.{g}"] for g in gates},
-        {g: _vec(tensors, f"{prefix}.bias.{g}") for g in gates},
-        side,
+def _lstm_from(tensors, prefix, variant, units, input_dim, input_kind, side):
+    """A cell whose stacked tensors are filled from the per-gate ones that
+    `gate_tensors` names; `side` lists (tv id, dim) pairs."""
+    rows = len(lstm_mod.GATES[variant]) * units
+    dt = real_dtype()
+    params = lstm_mod.LstmParams(
+        variant, units, input_dim, input_kind, np.empty((rows, input_dim), dt),
+        np.empty((rows, units), dt), np.empty(rows, dt),
+        [lstm_mod.SideInputParams(tv_id, dim, np.empty((rows, dim), dt))
+         for tv_id, dim in side],
     )
+    for name, block in lstm_mod.gate_tensors(params, prefix):
+        arr = tensors[name]
+        if arr.shape not in (block.shape, (1, *block.shape)):  # biases are 1 row
+            raise ValueError(f"tensor {name!r}: expected {block.shape}, got {arr.shape}")
+        block[...] = arr
+    return params
 
 
 def load_model(path) -> model_mod.ModelSpec:
@@ -263,26 +259,21 @@ def _model_from_config(cfg: dict, tensors: dict) -> model_mod.ModelSpec:
         if bc["type"] == "lstm":
             embedding = tensors.get(f"br{bi}.emb")
             input_kind = "dense" if embedding is not None else "one-hot"
-            fwd = bwd = None
-            if "fwd" in bc["parts"]:
-                fwd = _lstm_part_from(bc["parts"]["fwd"], tensors, f"br{bi}.fwd",
-                                      input_kind, tv_table)
-            if "bwd" in bc["parts"]:
-                bwd = _lstm_part_from(bc["parts"]["bwd"], tensors, f"br{bi}.bwd",
-                                      input_kind, tv_table)
+            parts = {}
+            for tag, part in bc["parts"].items():
+                parts[tag] = _lstm_from(
+                    tensors, f"br{bi}.{tag}.", part["variant"], part["units"],
+                    part["input_dim"], input_kind,
+                    [(tv_id, tv_table[tv_id].dim) for tv_id in part["side"]])
+            fwd, bwd = parts.get("fwd"), parts.get("bwd")
             branches.append(model_mod.LstmBranch(
                 bc["direction"], pooling, fwd, bwd, embedding,
                 bc["train_embedding"],
             ))
         else:
-            side = []
-            for tv_id in bc["side"]:
-                emb = tv_table[tv_id]
-                side.append(lstm_mod.SideInputParams(
-                    tv_id, emb.dim,
-                    {conv_mod.CONV_GATE:
-                     tensors[f"br{bi}.side.{tv_id}.{conv_mod.CONV_GATE}"]},
-                ))
+            side = [lstm_mod.SideInputParams(tv_id, tv_table[tv_id].dim,
+                                             tensors[f"br{bi}.side.{tv_id}.w"])
+                    for tv_id in bc["side"]]
             params = conv_mod.ConvParams(
                 bc["maps"], bc["region_size"], bc["input_kind"], cfg["vocab_size"],
                 tensors[f"br{bi}.w"], _vec(tensors, f"br{bi}.b"), side,

@@ -82,14 +82,18 @@ class TvEmbedding:
 
     def tensors(self):
         if self.kind == "lstm":
-            p = self.lstm_params
-            yield from lstm_mod.gate_tensors(p, p.gates())
+            yield from lstm_mod.gate_tensors(self.lstm_params)
         else:
             yield "w", self.conv_params.w
             yield "b", self.conv_params.b
 
     def freeze(self) -> "TvEmbedding":
-        for _, arr in self.tensors():
+        # the stacked LSTM arrays themselves: a read-only row view would
+        # leave its base writable
+        p = self.lstm_params
+        arrays = (p.wx, p.wh, p.bias) if self.kind == "lstm" else \
+            (self.conv_params.w, self.conv_params.b)
+        for arr in arrays:
             arr.flags.writeable = False
         return self
 
@@ -370,9 +374,9 @@ def train_tv_lstm(unlabeled, spec: TvObjectiveSpec, dim: int, cfg: TrainConfig,
                 up = up[:, ::-1]
             ups.append(up)
         lg, _, _ = lstm_mod.batch_backward_docs(run, ups)
-        return dict(lstm_mod.gate_tensors(lg, params.gates()))
+        return dict(lstm_mod.gate_tensors(params, grads=lg))
 
-    tensors = dict(lstm_mod.gate_tensors(params, params.gates()))
+    tensors = dict(lstm_mod.gate_tensors(params))
     logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),
                           spec.neg_samples, cfg, forward_fn, backward_fn,
                           tensors, params.dtype, log_fn)
@@ -466,10 +470,10 @@ def attach(params, emb_list, rng) -> None:
             raise ValueError(f"embedding {emb.name!r} already attached")
         existing.add(emb.name)
         if isinstance(params, lstm_mod.LstmParams):
-            w = {g: gaussian_init(params.units, emb.dim, INIT_STD, gen)
-                 for g in params.gates()}
+            rows = params.wx.shape[0]  # one draw equals the per-gate draws
         elif isinstance(params, conv_mod.ConvParams):
-            w = {conv_mod.CONV_GATE: gaussian_init(params.maps, emb.dim, INIT_STD, gen)}
+            rows = params.maps
         else:
             raise ValueError(f"cannot attach embeddings to {type(params).__name__}")
-        params.side.append(lstm_mod.SideInputParams(emb.name, emb.dim, w))
+        params.side.append(lstm_mod.SideInputParams(
+            emb.name, emb.dim, gaussian_init(rows, emb.dim, INIT_STD, gen)))

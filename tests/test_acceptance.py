@@ -55,13 +55,17 @@ def criterion(number, label):
           f" ({time.perf_counter() - started:.1f}s)")
 
 
+def _stacked(rng, n_gates, *shape, scale=1.0):
+    """n_gates row blocks drawn one after another, stacked."""
+    return np.concatenate([scale * rng.standard_normal(shape) for _ in range(n_gates)])
+
+
 def _random_full_dense(rng, units, input_dim, scale=0.5):
-    gates = ("i", "o", "f", "u")
     return LstmParams(
         "full", units, input_dim, "dense",
-        {g: scale * rng.standard_normal((units, input_dim)) for g in gates},
-        {g: scale * rng.standard_normal((units, units)) for g in gates},
-        {g: scale * rng.standard_normal(units) for g in gates},
+        _stacked(rng, 4, units, input_dim, scale=scale),
+        _stacked(rng, 4, units, units, scale=scale),
+        _stacked(rng, 4, units, scale=scale),
     )
 
 
@@ -94,21 +98,16 @@ def test_criterion_02_gate_removal_equivalence():
             units = int(rng.integers(1, 9))
             vocab = int(rng.integers(2, 13))
             total = int(rng.integers(1, 25))
-            gates_fu = ("f", "u")
-            shared_wx = {g: 0.5 * rng.standard_normal((units, vocab)) for g in gates_fu}
-            shared_wh = {g: 0.5 * rng.standard_normal((units, units)) for g in gates_fu}
-            shared_b = {g: 0.5 * rng.standard_normal(units) for g in gates_fu}
+            # the f and u blocks, shared; the full cell puts i and o above them
+            shared = [_stacked(rng, 2, units, vocab, scale=0.5),
+                      _stacked(rng, 2, units, units, scale=0.5),
+                      _stacked(rng, 2, units, scale=0.5)]
             simple = LstmParams("simplified", units, vocab, "one-hot",
-                                dict(shared_wx), dict(shared_wh), dict(shared_b))
-            full = LstmParams(
-                "full", units, vocab, "one-hot",
-                {**{g: rng.standard_normal((units, vocab)) for g in ("i", "o")},
-                 **{g: m.copy() for g, m in shared_wx.items()}},
-                {**{g: rng.standard_normal((units, units)) for g in ("i", "o")},
-                 **{g: m.copy() for g, m in shared_wh.items()}},
-                {**{g: rng.standard_normal(units) for g in ("i", "o")},
-                 **{g: v.copy() for g, v in shared_b.items()}},
-            )
+                                *(m.copy() for m in shared))
+            io = [_stacked(rng, 2, units, vocab), _stacked(rng, 2, units, units),
+                  _stacked(rng, 2, units)]
+            full = LstmParams("full", units, vocab, "one-hot",
+                              *(np.concatenate([a, b]) for a, b in zip(io, shared)))
             ids = rng.integers(0, vocab, size=total)
             h_full = forward_sequence(full, ids, override=override)
             h_simple = forward_sequence(simple, ids)
@@ -154,20 +153,18 @@ def _gradcheck_model(kind, seed):
         for branch_ in spec.branches:
             for _, params, _ in branch_.parts():
                 for sp in params.side:
-                    for g in sp.w:
-                        sp.w[g] *= 40.0  # lift side weights to checkable scale
+                    sp.w *= 40.0  # lift side weights to checkable scale
     doc = TokenSequence(r.integers(0, vocab, size=int(r.integers(1, 6))),
                         label=int(r.integers(0, n_classes)))
     return spec, doc
 
 
 def _random_one_hot_full(r, units, vocab):
-    gates = ("i", "o", "f", "u")
     return LstmParams(
         "full", units, vocab, "one-hot",
-        {g: 0.5 * r.standard_normal((units, vocab)) for g in gates},
-        {g: 0.5 * r.standard_normal((units, units)) for g in gates},
-        {g: 0.5 * r.standard_normal(units) for g in gates},
+        _stacked(r, 4, units, vocab, scale=0.5),
+        _stacked(r, 4, units, units, scale=0.5),
+        _stacked(r, 4, units, scale=0.5),
     )
 
 
@@ -197,9 +194,9 @@ def test_criterion_04_chopping_semantics():
                 np.testing.assert_array_equal(h_plain,
                                               forward_sequence(params, ids, seg_len=seg))
                 g_seg, _ = sequence_gradients(params, ids, upstream, seg_len=seg)
-                for g in params.gates():
-                    np.testing.assert_array_equal(g_plain.wx[g], g_seg.wx[g])
-                    np.testing.assert_array_equal(g_plain.wh[g], g_seg.wh[g])
+                np.testing.assert_array_equal(np.asarray(g_plain.wx),
+                                              np.asarray(g_seg.wx))
+                np.testing.assert_array_equal(g_plain.wh, g_seg.wh)
         # (b) perturbing ids inside one segment leaves other segments unchanged
         for seed in range(10):
             rng = np.random.default_rng(4100 + seed)

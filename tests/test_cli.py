@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from regemb.cli import load_word_vectors, main
+from regemb.cli import ARCHES, load_word_vectors, main
 from regemb.corpus import Vocabulary
 
 
@@ -268,8 +268,7 @@ class TestTrainTv:
             "--dim", "4", "--k-next", "2", "--neg", "3",
             "--vocab", str(vocab_path), "--target-vocab", str(tvocab_path),
             "--unlabeled", str(corpus_files / "train.txt"),
-            "--out", str(tv_path), "--epochs", "2", "--dropout", "0",
-            "--lr", "0.1")
+            "--out", str(tv_path), "--epochs", "2", "--lr", "0.1")
         assert code == 0 and tv_path.exists()
         assert any(l.startswith("epoch=0 ") for l in out.splitlines())
         model = corpus_files / "semi.rgem"
@@ -291,7 +290,7 @@ class TestTrainTv:
         run(capsys, "train-tv", "--kind", "lstm", "--dim", "3",
             "--vocab", str(vocab_path), "--target-vocab", str(vocab_path),
             "--unlabeled", str(corpus_files / "train.txt"),
-            "--out", str(tv_path), "--epochs", "1", "--dropout", "0")
+            "--out", str(tv_path), "--epochs", "1")
         other_vocab = corpus_files / "other.txt"
         other_vocab.write_text("#size=2\nalpha\nbeta\n")
         code, _, err = run(
@@ -355,6 +354,17 @@ class TestGradcheckCommand:
                            "--threshold", "0", "--seed", "2")
         assert code == 3
 
+    RUNS = [(arch, with_tv, seed) for arch in ARCHES for with_tv in (False, True)
+            for seed in (1, 2, 3)]
+
+    @pytest.mark.parametrize("arch,with_tv,seed", RUNS, ids=[
+        f"{a}{'-tv' if t else ''}-seed{s}" for a, t, s in RUNS])
+    def test_every_arch_passes(self, capsys, arch, with_tv, seed):
+        argv = ["gradcheck", "--arch", arch, "--seed", str(seed)]
+        code, out, err = run(capsys, *argv, *(["--with-tv"] if with_tv else []))
+        assert code == 0, out + err
+        assert "gradcheck PASS" in out
+
 
 class TestWordVectors:
     def test_loading_and_scale(self, tmp_path):
@@ -403,7 +413,10 @@ class TestFlagValues:
         ("train", "--units", "0"), ("train", "--vocab-size", "0"),
         ("train-tv", "--dim", "0"), ("train-tv", "--k-next", "0"),
         ("train-tv", "--neg", "-1"), ("train-tv", "--minibatch", "0"),
-        ("train-tv", "--chop", "0"),
+        ("train-tv", "--chop", "0"), ("build-vocab", "--size", "0"),
+        ("gradcheck", "--eps", "0"), ("gradcheck", "--vocab-size", "0"),
+        ("gradcheck", "--classes", "0"), ("gradcheck", "--units", "0"),
+        ("gradcheck", "--maps", "0"),
     ]
 
     @pytest.mark.parametrize("command,flag,value", BAD,
@@ -411,19 +424,35 @@ class TestFlagValues:
     def test_out_of_range_is_usage_error(self, corpus_files, capsys,
                                          command, flag, value):
         out = corpus_files / "out.bin"
+        train = str(corpus_files / "train.txt")
         if command == "train":
             argv = ["train", "--arch", "oh-lstmp", "--units", "2", "--chop", "4",
-                    "--train", str(corpus_files / "train.txt"),
-                    "--train-labels", str(corpus_files / "train.lab")]
-        else:
+                    "--train", train,
+                    "--train-labels", str(corpus_files / "train.lab"),
+                    "--out", str(out), "--epochs", "1"]
+        elif command == "train-tv":
             vocab = _vocab(corpus_files, capsys)
             argv = ["train-tv", "--kind", "lstm", "--dim", "2", "--vocab", vocab,
-                    "--target-vocab", vocab,
-                    "--unlabeled", str(corpus_files / "train.txt")]
-        code, _, err = run(capsys, *argv, "--out", str(out), "--epochs", "1",
-                           flag, value)
+                    "--target-vocab", vocab, "--unlabeled", train,
+                    "--out", str(out), "--epochs", "1"]
+        elif command == "build-vocab":
+            argv = ["build-vocab", "--input", train, "--out", str(out)]
+        else:
+            argv = ["gradcheck"]
+        code, _, err = run(capsys, *argv, flag, value)
         assert code == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_tv_refuses_dropout(self, corpus_files, capsys):
+        vocab = _vocab(corpus_files, capsys)
+        out = corpus_files / "out.tv"
+        code, _, err = run(
+            capsys, "train-tv", "--kind", "lstm", "--dim", "2", "--vocab", vocab,
+            "--target-vocab", vocab, "--unlabeled", str(corpus_files / "train.txt"),
+            "--out", str(out), "--epochs", "1", "--dropout", "0.3")
+        assert code == 1
+        assert "unrecognized arguments: --dropout" in err
         assert not out.exists()
 
     def test_no_training_documents_is_data_error(self, corpus_files, capsys):

@@ -10,7 +10,7 @@ from regemb.numkernel import RngSpec, relu
 def random_conv(rng, maps, region, input_kind, vocab, n_side=0, side_dim=2, scale=0.5):
     cols = vocab * (region if input_kind == "seq" else 1)
     side = [SideInputParams(f"tv{j}", side_dim,
-                            {"w": scale * rng.standard_normal((maps, side_dim))})
+                            scale * rng.standard_normal((maps, side_dim)))
             for j in range(n_side)]
     return ConvParams(maps, region, input_kind, vocab,
                       scale * rng.standard_normal((maps, cols)),
@@ -116,7 +116,7 @@ class TestConvGradients:
                                         want_side_values_grad=bool(n_side))
             tensors = [("w", p.w, grads.w), ("b", p.b, grads.b)]
             for j in range(n_side):
-                tensors.append((f"side{j}", p.side[j].w["w"], grads.side[j]["w"]))
+                tensors.append((f"side{j}", p.side[j].w, grads.side[j]))
                 tensors.append((f"sv{j}", side[j], dsv[j]))
             for name, arr, g in tensors:
                 flat = arr.reshape(-1)

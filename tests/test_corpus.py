@@ -7,7 +7,6 @@ from regemb.corpus import (
     TokenSequence,
     Vocabulary,
     build_vocab,
-    chop,
     class_ids,
     coverage,
     encode,
@@ -21,6 +20,7 @@ from regemb.corpus import (
     tokenize,
 )
 from regemb.errors import DataError
+from regemb.lstm import plan_segments
 
 
 class TestTokenize:
@@ -141,32 +141,28 @@ class TestRegionBow:
 
 
 class TestChop:
+    """Chopping as the LSTM engine does it: lstm.plan_segments spans."""
+
     def test_lengths_and_offsets(self):
-        seq = TokenSequence(np.arange(7), label=1)
-        segs = chop(seq, 3)
-        assert [len(s) for s in segs] == [3, 3, 1]
-        assert [s.offset for s in segs] == [0, 3, 6]
+        plan = plan_segments(7, 3)
+        assert [end - start for start, _, end in plan] == [3, 3, 1]
+        assert [start for start, _, _ in plan] == [0, 3, 6]
 
     def test_protocol_seg_100(self):
-        seq = TokenSequence(np.arange(250))
-        segs = chop(seq, 100)
-        assert [len(s) for s in segs] == [100, 100, 50]
+        plan = plan_segments(250, 100)
+        assert [end - start for start, _, end in plan] == [100, 100, 50]
 
     def test_long_seg_is_identity(self):
-        seq = TokenSequence(np.arange(5))
-        segs = chop(seq, 10)
-        assert len(segs) == 1
-        np.testing.assert_array_equal(segs[0].ids, seq.ids)
+        assert plan_segments(5, 10) == [(0, 0, 5)]
 
     def test_flatten_reproduces_ids(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
             n = int(rng.integers(0, 40))
             seg_len = int(rng.integers(1, 12))
-            seq = TokenSequence(rng.integers(0, 9, size=n))
-            segs = chop(seq, seg_len)
-            flat = np.concatenate([s.ids for s in segs]) if segs else np.zeros(0)
-            np.testing.assert_array_equal(flat, seq.ids)
+            ids = rng.integers(0, 9, size=n)
+            pieces = [ids[start:end] for start, _, end in plan_segments(n, seg_len)]
+            np.testing.assert_array_equal(np.concatenate(pieces), ids)
 
 
 class TestTargetVocab:

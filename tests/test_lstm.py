@@ -10,7 +10,6 @@ from regemb.lstm import (
     batch_backward,
     batch_forward,
     batch_forward_docs,
-    embedding_layer,
     fold_embedding,
     forward_sequence,
     lstm_step,
@@ -24,34 +23,32 @@ from regemb.numkernel import RngSpec, SparseVector
 def random_params(rng, variant, units, input_dim, input_kind="one-hot",
                   n_side=0, side_dim=2, scale=0.5):
     gates = ("i", "o", "f", "u") if variant == "full" else ("f", "u")
-    wx = {g: scale * rng.standard_normal((units, input_dim)) for g in gates}
-    wh = {g: scale * rng.standard_normal((units, units)) for g in gates}
-    bias = {g: scale * rng.standard_normal(units) for g in gates}
-    side = [SideInputParams(f"tv{j}", side_dim,
-                            {g: scale * rng.standard_normal((units, side_dim))
-                             for g in gates})
+
+    def stacked(*shape):  # one draw per gate, stacked as row blocks
+        return np.concatenate([scale * rng.standard_normal(shape) for _ in gates])
+
+    wx = stacked(units, input_dim)
+    wh = stacked(units, units)
+    bias = stacked(units)
+    side = [SideInputParams(f"tv{j}", side_dim, stacked(units, side_dim))
             for j in range(n_side)]
     return LstmParams(variant, units, input_dim, input_kind, wx, wh, bias, side)
 
 
 def param_arrays(params):
-    for g in params.gates():
-        yield f"wx.{g}", params.wx[g]
-        yield f"wh.{g}", params.wh[g]
-        yield f"bias.{g}", params.bias[g]
+    yield "wx", params.wx
+    yield "wh", params.wh
+    yield "bias", params.bias
     for j, sp in enumerate(params.side):
-        for g in params.gates():
-            yield f"side{j}.{g}", sp.w[g]
+        yield f"side{j}", sp.w
 
 
 def grad_arrays(params, grads):
-    for g in params.gates():
-        yield f"wx.{g}", grads.wx[g]
-        yield f"wh.{g}", grads.wh[g]
-        yield f"bias.{g}", grads.bias[g]
-    for j in range(len(params.side)):
-        for g in params.gates():
-            yield f"side{j}.{g}", grads.side[j][g]
+    yield "wx", grads.wx
+    yield "wh", grads.wh
+    yield "bias", grads.bias
+    for j, w in enumerate(grads.side):
+        yield f"side{j}", w
 
 
 def rel_err(a, n):
@@ -82,10 +79,10 @@ class TestLstmStep:
             rr = np.random.default_rng(seed)
             simple = random_params(rr, "simplified", 4, 6)
             full = random_params(rng, "full", 4, 6)
-            for g in ("f", "u"):
-                full.wx[g] = simple.wx[g].copy()
-                full.wh[g] = simple.wh[g].copy()
-                full.bias[g] = simple.bias[g].copy()
+            # f and u are the last two row blocks of either variant
+            full.wx[8:] = simple.wx
+            full.wh[8:] = simple.wh
+            full.bias[8:] = simple.bias
             prev = LstmState(rr.standard_normal(4), np.tanh(rr.standard_normal(4)))
             x = SparseVector.one_hot(6, int(rr.integers(0, 6)))
             ov = GateOverride(input_gate_one=True, output_gate_one=True)
@@ -370,10 +367,11 @@ class TestSequenceGradients:
         upstream = rng.standard_normal((3, 4))
         ov = GateOverride(input_gate_one=True, output_gate_one=True)
         grads, _ = sequence_gradients(p, ids, upstream, override=ov)
-        for g in ("i", "o"):
-            np.testing.assert_array_equal(grads.wx[g], np.zeros_like(grads.wx[g]))
-            np.testing.assert_array_equal(grads.wh[g], np.zeros_like(grads.wh[g]))
-        assert np.any(np.asarray(grads.wx["f"]) != 0)
+        wx = np.asarray(grads.wx)
+        # rows 0-5 are the i and o blocks, rows 6-8 the f block
+        np.testing.assert_array_equal(wx[:6], np.zeros((6, 5)))
+        np.testing.assert_array_equal(grads.wh[:6], np.zeros((6, 3)))
+        assert np.any(wx[6:9] != 0)
 
 
 class TestFoldEmbedding:
@@ -381,8 +379,7 @@ class TestFoldEmbedding:
         rng = np.random.default_rng(20)
         p = random_params(rng, "full", 3, 4, input_kind="dense")
         folded = fold_embedding(p, np.eye(4))
-        for g in p.gates():
-            np.testing.assert_allclose(folded.wx[g], p.wx[g], rtol=1e-15)
+        np.testing.assert_allclose(folded.wx, p.wx, rtol=1e-15)
         assert folded.input_kind == "one-hot"
 
     def test_two_path_equivalence(self):
@@ -394,7 +391,7 @@ class TestFoldEmbedding:
             ids = rng.integers(0, vocab, size=total)
             folded = fold_embedding(p, emb)
             h_onehot = forward_sequence(folded, ids)
-            x = np.stack([embedding_layer(emb, int(i)) for i in ids], axis=1)
+            x = emb[:, ids]
             h_dense = forward_sequence(p, x)
             err = np.abs(h_onehot - h_dense) / np.maximum(np.abs(h_dense), 1e-300)
             assert err.max() < 1e-10
@@ -403,27 +400,13 @@ class TestFoldEmbedding:
         rng = np.random.default_rng(21)
         p = random_params(rng, "simplified", 2, 3, input_kind="dense")
         folded = fold_embedding(p, np.zeros((3, 5)))
-        for g in p.gates():
-            np.testing.assert_array_equal(folded.wx[g], np.zeros((2, 5)))
+        np.testing.assert_array_equal(folded.wx, np.zeros((4, 5)))
 
     def test_requires_dense_cell(self):
         rng = np.random.default_rng(22)
         p = random_params(rng, "simplified", 2, 3)
         with pytest.raises(ValueError):
             fold_embedding(p, np.eye(3))
-
-
-class TestEmbeddingLayer:
-    def test_identity_gives_one_hot(self):
-        np.testing.assert_array_equal(embedding_layer(np.eye(3), 1), [0, 1, 0])
-
-    def test_returns_column(self):
-        emb = np.array([[1.0, 9.0], [2.0, 8.0]])
-        np.testing.assert_array_equal(embedding_layer(emb, 0), [1, 2])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            embedding_layer(np.eye(3), 3)
 
 
 class TestPlanSegments:

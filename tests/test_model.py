@@ -31,9 +31,8 @@ def make_lstm_branch(rng, direction="bidirectional", units=3, vocab=6,
     def cell():
         p = lstm_mod.LstmParams.create(variant, units, vocab, "one-hot",
                                        rng)
-        for g in p.gates():
-            p.wx[g][:] = scale * np.asarray(p.wx[g] / 0.01)
-            p.wh[g][:] = scale * np.asarray(p.wh[g] / 0.01)
+        p.wx[:] = scale * (p.wx / 0.01)
+        p.wh[:] = scale * (p.wh / 0.01)
         return p
 
     fwd = cell() if direction in ("forward", "bidirectional") else None

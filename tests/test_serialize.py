@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from regemb import conv as conv_mod
 from regemb import lstm as lstm_mod
 from regemb import model as model_mod
 from regemb import tvembed as tv_mod
-from regemb.corpus import TokenSequence, Vocabulary
+from regemb.corpus import TokenSequence, Vocabulary, encode, load_token_file
 from regemb.errors import DataError
 from regemb.numkernel import RngSpec, precision
 from regemb.serialize import (
@@ -148,7 +149,7 @@ class TestTvFiles:
             save_tv(tmp_path / "a.tv", emb)
             loaded = load_tv(tmp_path / "a.tv")
         with pytest.raises(ValueError):
-            loaded.lstm_params.wx["f"][0, 0] = 1.0
+            loaded.lstm_params.wx[0, 0] = 1.0
 
     def test_model_file_is_not_a_tv_file(self, tmp_path):
         with precision("float32"):
@@ -273,3 +274,31 @@ class TestMalformedFiles:
         _rewrite(good, bad, edit)
         with pytest.raises(DataError, match=message):
             load_tv(bad)
+
+
+class TestFormatFixture:
+    """Files written before the LSTM gate tensors were stacked (see
+    tests/data/make_format_fixture.py): a tv-LSTM, a tv-CNN, and a model with
+    a full bi-LSTM branch and a seq-CNN branch that both read the two tv
+    embeddings as side input."""
+
+    DATA = Path(__file__).parent / "data" / "format"
+
+    @pytest.mark.parametrize("name,load,save", [
+        ("model.rgem", load_model, save_model),
+        ("tvl.tv", load_tv, save_tv),
+        ("tvc.tv", load_tv, save_tv),
+    ])
+    def test_resave_is_byte_identical(self, tmp_path, name, load, save):
+        with precision("float32"):
+            save(tmp_path / name, load(self.DATA / name))
+        assert (tmp_path / name).read_bytes() == (self.DATA / name).read_bytes()
+
+    def test_scores_match_the_recorded_ones(self):
+        with precision("float32"):
+            spec = load_model(self.DATA / "model.rgem")
+            docs = [encode(toks, spec.vocab)
+                    for toks in load_token_file(self.DATA / "docs.txt")]
+            scores = model_mod.batch_scores(spec, docs)
+        np.testing.assert_allclose(scores, np.load(self.DATA / "scores.npy"),
+                                   rtol=1e-5)

@@ -78,10 +78,10 @@ class TestConvColumnGrad:
         vocab, maps, region = 9, 4, 3
         params = ConvParams.create(maps, region, input_kind, vocab, gen, std=0.5)
         params.side.append(SideInputParams(
-            "tv0", 2, {"w": gen.standard_normal((maps, 2)).astype(params.dtype)}))
+            "tv0", 2, gen.standard_normal((maps, 2)).astype(params.dtype)))
         docs = _docs(gen, 6, vocab)
         w_dense = np.zeros_like(params.w)
-        side_dense = np.zeros_like(params.side[0].w["w"])
+        side_dense = np.zeros_like(params.side[0].w)
         w_grads, side_sum = [], np.zeros_like(side_dense)
         for ids in docs:
             sv = [gen.standard_normal((2, len(ids))).astype(params.dtype)]
@@ -90,7 +90,7 @@ class TestConvColumnGrad:
             cg, _ = backward_from_mask(params, ids, mask, upstream, sv)
             assert isinstance(cg.w, ColumnGrad)
             w_grads.append(cg.w)
-            side_sum += cg.side[0]["w"]
+            side_sum += cg.side[0]
             # dense per-document oracle: the full-width scatter it replaces
             dpre = upstream * mask
             doc = np.zeros_like(params.w)
@@ -114,7 +114,7 @@ class TestLstmColumnGrad:
         seqs = _docs(gen, 5, vocab)
         ups = [gen.standard_normal((units, len(s))).astype(params.dtype) for s in seqs]
         _, cache = batch_forward(params, seqs)
-        scattered = []  # the per-position gate gradients, in gate order
+        scattered = []  # the per-position gradients of the stacked gates
 
         def recording(dest, idx, cols):
             scattered.append(cols.copy())
@@ -122,21 +122,18 @@ class TestLstmColumnGrad:
 
         monkeypatch.setattr(lstm_mod, "scatter_add_columns", recording)
         grads, _, _ = batch_backward(cache, ups)
-        assert len(scattered) == len(params.gates())
-        for g, cols in zip(params.gates(), scattered):
-            assert isinstance(grads.wx[g], ColumnGrad)
-            dense = np.zeros_like(params.wx[g])
-            scatter_add_columns(dense, cache.flat_ids, cols)
-            np.testing.assert_array_equal(np.asarray(grads.wx[g]), dense)
-            np.testing.assert_array_equal(grads.wx[g].cols,
-                                          np.unique(np.concatenate(seqs)))
+        assert len(scattered) == 1  # one scatter for every gate at once
+        assert isinstance(grads.wx, ColumnGrad)
+        dense = np.zeros_like(params.wx)
+        scatter_add_columns(dense, cache.flat_ids, scattered[0])
+        np.testing.assert_array_equal(np.asarray(grads.wx), dense)
+        np.testing.assert_array_equal(grads.wx.cols, np.unique(np.concatenate(seqs)))
 
     def test_empty_batch_is_zero(self):
         params = LstmParams.create("simplified", 2, 6, "one-hot", RngSpec(0))
         _, cache = batch_forward(params, [np.zeros(0, np.int64)])
         grads, _, _ = batch_backward(cache, [np.zeros((2, 0))])
-        for g in params.gates():
-            np.testing.assert_array_equal(np.asarray(grads.wx[g]), np.zeros((2, 6)))
+        np.testing.assert_array_equal(np.asarray(grads.wx), np.zeros((4, 6)))
 
 
 def _embedding_model(gen, vocab, dim=3, units=2):

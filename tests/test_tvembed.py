@@ -171,7 +171,7 @@ class TestTrainTvLstm:
         cfg = TrainConfig(lr=0.3, minibatch=10, epochs=1, dropout_rate=0.0, seed=2)
         emb, _ = train_tv_lstm(ds, spec, dim=4, cfg=cfg)
         with pytest.raises(ValueError):
-            emb.lstm_params.wx["f"][0, 0] = 1.0
+            emb.lstm_params.wx[0, 0] = 1.0
 
     def test_uses_all_four_gates(self):
         ds = successor_corpus(n_docs=20, doc_len=6)
@@ -287,8 +287,7 @@ class TestAttach:
         emb = TestApplyTv()._lstm_emb(seed=1)
         attach(params, [emb], rng)
         for sp in params.side:
-            for g in sp.w:
-                sp.w[g][:] = 0.0
+            sp.w[:] = 0.0
         ids = np.array([0, 2, 4, 1])
         side = [apply_tv(emb, ids)]
         with_side = lstm_mod.forward_sequence(params, ids, side_seq=side)
@@ -300,15 +299,17 @@ class TestAttach:
         params = lstm_mod.LstmParams.create("full", 3, 6, "one-hot", rng.stream("init"))
         emb = TestApplyTv()._lstm_emb(seed=2)
         attach(params, [emb], rng)
-        assert set(params.side[0].w) == {"i", "o", "f", "u"}
-        assert params.side[0].w["f"].shape == (3, emb.dim)
+        assert params.side[0].w.shape == (4 * 3, emb.dim)  # a row block per gate
+        side_names = [name for name, _ in lstm_mod.gate_tensors(params)
+                      if name.startswith("side.")]
+        assert side_names == [f"side.{emb.name}.{g}" for g in ("i", "o", "f", "u")]
 
     def test_conv_gets_single_matrix(self):
         rng = RngSpec(2)
         params = conv_mod.ConvParams.create(4, 2, "seq", 6, rng.stream("init"))
         emb = TestApplyTv()._cnn_emb(seed=3)
         attach(params, [emb], rng)
-        assert set(params.side[0].w) == {"w"}
+        assert params.side[0].w.shape == (4, emb.dim)
 
     def test_duplicate_rejected(self):
         rng = RngSpec(3)
@@ -374,9 +375,9 @@ class TestAttach:
         ids = np.array([0, 4, 2, 1])
         sv = [apply_tv(emb, ids)]
         pre1 = conv_mod.pre_activation(params, ids, sv)
-        saved = params.side[0].w["w"].copy()
-        params.side[0].w["w"][:] = 0.0
+        saved = params.side[0].w.copy()
+        params.side[0].w[:] = 0.0
         pre0 = conv_mod.pre_activation(params, ids, sv)
-        params.side[0].w["w"][:] = 2.0 * saved
+        params.side[0].w[:] = 2.0 * saved
         pre2 = conv_mod.pre_activation(params, ids, sv)
         np.testing.assert_allclose(pre2 - pre0, 2.0 * (pre1 - pre0), rtol=1e-12)
