@@ -27,7 +27,6 @@ from .lstm import (
     fold_embedding,
     forward_sequence,
     lstm_step,
-    reverse_forward,
     sequence_gradients,
 )
 from .conv import ConvParams, conv_forward, conv_gradients

@@ -13,10 +13,11 @@ Side channels add trainable terms W~_jg @ xtilde_jt inside every gate
 pre-activation.  Every tensor stacks the gates as row blocks, so all
 gates of a step come from one matrix product.
 
-Sequences are processed by a batched engine that sorts segments by length
-and steps a shrinking active prefix, so many segments (from chopping or
-from many documents) share each recurrence step's matrix products.
-Gradients are exact backpropagation through time.
+Documents are processed by one batched engine that chops them into
+segments, reads each segment in either direction, sorts the segments by
+length and steps a shrinking active prefix, so many segments (from
+chopping or from many documents) share each recurrence step's matrix
+products.  Gradients are exact backpropagation through time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSequence
 from .numkernel import (
     ColumnGrad,
     RngSpec,
@@ -192,26 +192,52 @@ def lstm_step(params, x, prev: LstmState, side_vals=(), override=None) -> LstmSt
 
 
 # ---------------------------------------------------------------------------
-# Batched engine.
+# The batched engine.
 #
-# Segments are sorted by length (descending); at step t only the prefix of
-# segments longer than t is active, so state slices stay contiguous.  The
-# input and side contributions to every gate's pre-activation are
-# precomputed in one gather or product over all valid (step, segment)
-# pairs; each step then makes one Wh product over the stacked gates.
+# Every document is chopped into segments (plan_segments); each segment
+# reads its positions in time order, left to right or right to left.  The
+# segments are sorted by length (descending), so at step t only the prefix
+# of segments longer than t is active and state slices stay contiguous.
+# One index, `src`, maps every valid (step, segment) pair to the position
+# it reads in the concatenated documents: inputs and side values are
+# gathered through it, and outputs and upstream gradients travel back
+# through it, so callers see every document in position order.  The input
+# and side contributions to the gate pre-activations are precomputed in
+# one gather or product over all pairs; each step then makes one Wh
+# product over the stacked gates.
 # ---------------------------------------------------------------------------
 
 
+def plan_segments(total: int, seg_len, overlap: int = 0):
+    """(start, emit_start, end) spans covering [0, total).
+
+    Without overlap, start == emit_start.  With overlap, each segment after
+    the first begins `overlap` positions early as warm-up context; outputs
+    are emitted only from emit_start so every position is emitted once.
+    """
+    if seg_len is None or seg_len >= total:
+        return [(0, 0, total)]
+    if seg_len < 1:
+        raise ValueError("seg_len must be >= 1")
+    if not 0 <= overlap < seg_len:
+        raise ValueError("overlap must satisfy 0 <= overlap < seg_len")
+    plan = []
+    for emit in range(0, total, seg_len):
+        start = max(emit - overlap, 0)
+        plan.append((start, emit, min(emit + seg_len, total)))
+    return plan
+
+
 @dataclass
-class _BatchCache:
+class _DocsRun:
     params: LstmParams
     override: GateOverride
-    order: np.ndarray  # sorted position -> original segment index
-    lengths: np.ndarray  # original order
-    sorted_lengths: np.ndarray
+    totals: list  # per document length
     widths: np.ndarray  # (t_max,) active prefix size per step
     t_idx: np.ndarray  # valid (step, sorted-segment) pairs, step-major
     k_idx: np.ndarray
+    src: np.ndarray  # per pair, the position it reads in the concatenated docs
+    emit: np.ndarray  # the pairs whose output is kept (past the warm-up)
     flat_ids: np.ndarray | None  # (n_valid,) word ids, one-hot inputs
     x_flat: np.ndarray | None  # (n_valid, input_dim), dense inputs
     sv_flat: list  # per side channel: (n_valid, dim)
@@ -224,8 +250,6 @@ class _BatchCache:
 
 
 def _normalize_input(params, item):
-    if isinstance(item, TokenSequence):
-        item = item.ids
     arr = np.asarray(item)
     if params.input_kind == "one-hot":
         if arr.ndim != 1:
@@ -236,67 +260,87 @@ def _normalize_input(params, item):
     return arr
 
 
-def batch_forward(params, seqs, side_seqs=None, override=None):
-    """Forward over many segments at once.
+def _columns(mats, rows, totals, dt, what):
+    """Per-document (rows, T) matrices side by side: one (rows, N) matrix."""
+    for i, (mat, total) in enumerate(zip(mats, totals)):
+        if np.shape(mat) != (rows, total):
+            raise ValueError(f"{what} for doc {i}: expected ({rows}, {total}), "
+                             f"got {np.shape(mat)}")
+    return np.concatenate([np.zeros((rows, 0), dt), *mats], axis=1, dtype=dt)
 
-    seqs: list of id arrays (one-hot) or (input_dim, T) matrices (dense).
-    side_seqs: per segment, a list of (dim_j, T) matrices matching
-    params.side; None when the cell has no side channels.
-    Returns per-segment output matrices (units, T) in the original order,
-    plus the cache consumed by batch_backward.
+
+def _by_doc(mat, totals):
+    bounds = np.cumsum([0, *totals])
+    return [mat[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _plan(totals, seg_len, overlap, reverse):
+    """Segment lengths, first read position and warm-up steps, documents in
+    order and each document's segments in plan order."""
+    lengths, first, warm = [], [], []
+    offset = 0
+    for total in totals:
+        for s, emit, e in (plan_segments(total, seg_len, overlap) if total else []):
+            lengths.append(e - s)
+            first.append(offset + total - 1 - s if reverse else offset + s)
+            warm.append(emit - s)
+        offset += total
+    return (np.array(lengths, dtype=np.int64), np.array(first, dtype=np.int64),
+            np.array(warm, dtype=np.int64))
+
+
+def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
+                       overlap=0, override=None, reverse=False):
+    """Chop every document and run all segments through one batched pass.
+
+    inputs_list: per document an id array (one-hot) or an (input_dim, T)
+    matrix (dense); side_list: per document a list of (dim_j, T) matrices
+    matching params.side, or None when the cell has no side channels.
+    State starts at zero in every segment (the chopping training
+    approximation); with `reverse` each segment reads right to left.
+    Returns per-document (units, T) outputs indexed by position, plus the
+    run state consumed by batch_backward_docs.
     """
     override = override or GateOverride()
-    seqs = [_normalize_input(params, s) for s in seqs]
-    n = len(seqs)
+    inputs_list = [_normalize_input(params, x) for x in inputs_list]
     units = params.units
     dt = params.dtype
     one_hot = params.input_kind == "one-hot"
-    if side_seqs is None:
-        side_seqs = [[] for _ in seqs]
-    for sides in side_seqs:
-        if len(sides) != len(params.side):
-            raise ValueError(f"expected {len(params.side)} side sequences per segment")
+    totals = [x.shape[0] if one_hot else x.shape[1] for x in inputs_list]
+    side_list = side_list if side_list is not None else [None] * len(inputs_list)
+    if any(len(sides or ()) != len(params.side) for sides in side_list):
+        raise ValueError(f"expected {len(params.side)} side sequences per document")
 
-    lengths = np.array([(s.shape[0] if one_hot else s.shape[1]) for s in seqs], dtype=np.int64)
+    lengths, first, warm = _plan(totals, seg_len, overlap, reverse)
+    n = lengths.size
     t_max = int(lengths.max()) if n else 0
     order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    widths = np.searchsorted(-sorted_lengths, -np.arange(t_max), side="left")
+    widths = np.searchsorted(-lengths[order], -np.arange(t_max), side="left")
     n_valid = int(widths.sum())
     t_idx = np.repeat(np.arange(t_max), widths)
     k_idx = np.arange(n_valid) - np.repeat(np.cumsum(widths) - widths, widths)
+    seg = order[k_idx]
+    src = first[seg] + (-t_idx if reverse else t_idx)
+    emit = np.flatnonzero(t_idx >= warm[seg])
 
     flat_ids = None
     x_flat = None
     if one_hot:
-        id_pad = np.zeros((n, t_max), dtype=np.int64)
-        for pos, k in enumerate(order):
-            id_pad[pos, :lengths[k]] = seqs[k]
-        flat_ids = id_pad[k_idx, t_idx]
+        flat_ids = np.concatenate([np.zeros(0, np.int64), *inputs_list])[src]
         zf = params.wx[:, flat_ids]
     else:
-        x_pad = np.zeros((n, params.input_dim, t_max), dtype=dt)
-        for pos, k in enumerate(order):
-            x_pad[pos, :, :lengths[k]] = seqs[k]
-        x_flat = x_pad[k_idx, :, t_idx]
+        x_flat = _columns(inputs_list, params.input_dim, totals, dt, "input").T[src]
         zf = params.wx @ x_flat.T
-
     sv_flat = []
     for j, sp in enumerate(params.side):
-        sv_pad = np.zeros((n, sp.dim, t_max), dtype=dt)
-        for pos, k in enumerate(order):
-            mat = np.asarray(side_seqs[k][j], dtype=dt)
-            if mat.shape != (sp.dim, lengths[k]):
-                raise ValueError(
-                    f"side input {j}: expected ({sp.dim}, {lengths[k]}), got {mat.shape}"
-                )
-            sv_pad[pos, :, :lengths[k]] = mat
-        sv_flat.append(sv_pad[k_idx, :, t_idx])
+        mats = [sides[j] for sides in side_list]
+        sv_flat.append(_columns(mats, sp.dim, totals, dt, f"side input {j}").T[src])
         zf += sp.w @ sv_flat[-1].T
 
     n_rows = params.wx.shape[0]
     z = np.zeros((t_max, n_rows, n), dtype=dt)
     z[t_idx, :, k_idx] = zf.T
+    del zf
     z += params.bias[None, :, None]
 
     rows = _gate_rows(params)
@@ -327,65 +371,49 @@ def batch_forward(params, seqs, side_seqs=None, override=None):
         tcs[t][:, :nt] = tc
         cs[t + 1][:, :nt] = c
         hs[t + 1][:, :nt] = h
+    del z
 
-    outs = [None] * n
-    for pos, k in enumerate(order):
-        outs[k] = np.ascontiguousarray(hs[1:lengths[k] + 1, :, pos].T)
-
-    cache = _BatchCache(params, override, order, lengths, sorted_lengths, widths,
-                        t_idx, k_idx, flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
-    return outs, cache
-
-
-def _unpack_rows(flat, cache):
-    """Split step-major (n_valid, dim) rows into per-segment (dim, T) matrices."""
-    by_seg = np.argsort(cache.k_idx, kind="stable")
-    out = [None] * len(cache.lengths)
-    offset = 0
-    for pos, k in enumerate(cache.order):
-        length = int(cache.sorted_lengths[pos])
-        rows = flat[by_seg[offset:offset + length]]
-        out[k] = np.ascontiguousarray(rows.T)
-        offset += length
-    return out
+    # each position is emitted once (no zero fill); rows scatter faster than columns
+    out = np.empty((sum(totals), units), dtype=dt)
+    out[src[emit]] = hs[t_idx[emit] + 1, :, k_idx[emit]]
+    out = np.ascontiguousarray(out.T)
+    run = _DocsRun(params, override, totals, widths, t_idx, k_idx, src, emit,
+                   flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
+    return _by_doc(out, totals), run
 
 
-def batch_backward(cache, upstreams, want_side_values_grad=False, want_input_grad=False):
-    """Exact BPTT for a batch_forward pass.
+def batch_backward_docs(run, upstreams, want_input_grad=False):
+    """Exact BPTT over a batch_forward_docs pass.
 
-    upstreams: per segment (original order) dL/dh matrices (units, T).
-    Returns (LstmGrads, per-segment side-value grads or None, per-segment
-    input grads or None).
+    upstreams: per document dL/dh (units, T), indexed by position.
+    Returns (LstmGrads, per-document (input_dim, T) input gradients, or
+    None unless requested; dense inputs only).
     """
-    params = cache.params
+    params = run.params
     units = params.units
     dt = params.dtype
-    n = len(cache.lengths)
-    widths = cache.widths
+    widths = run.widths
     t_max = len(widths)
+    n = run.gates.shape[2]
     if want_input_grad and params.input_kind != "dense":
         raise ValueError("input gradients only exist for dense inputs")
 
+    up_all = _columns(upstreams, units, run.totals, dt, "upstream")
     up = np.zeros((t_max, units, n), dtype=dt)
-    for pos, k in enumerate(cache.order):
-        length = int(cache.sorted_lengths[pos])
-        mat = np.asarray(upstreams[k], dtype=dt)
-        if mat.shape != (units, length):
-            raise ValueError(f"upstream for segment {k}: expected ({units}, {length})")
-        up[:length, :, pos] = mat.T
+    up[run.t_idx[run.emit], :, run.k_idx[run.emit]] = up_all[:, run.src[run.emit]].T
 
     rows = _gate_rows(params)
-    fixed = cache.override.fixed_rows(rows)
+    fixed = run.override.fixed_rows(rows)
     full = params.variant == "full"
-    dpre_all = np.zeros_like(cache.gates)
+    dpre_all = np.zeros_like(run.gates)
     dh_carry = np.zeros((units, n), dtype=dt)
     dc_carry = np.zeros((units, n), dtype=dt)
 
     for t in range(t_max - 1, -1, -1):
         nt = widths[t]
-        act = cache.gates[t][:, :nt]
+        act = run.gates[t][:, :nt]
         f, u = act[rows["f"]], act[rows["u"]]
-        tc = cache.tc[t][:, :nt]
+        tc = run.tc[t][:, :nt]
         dh = up[t][:, :nt] + dh_carry[:, :nt]
         dpre = dpre_all[t][:, :nt]
         if full:
@@ -397,180 +425,55 @@ def batch_backward(cache, upstreams, want_side_values_grad=False, want_input_gra
         else:
             dc = dc_carry[:, :nt] + dh * (1.0 - tc * tc)
             du = dc
-        dpre[rows["f"]] = dc * cache.c[t][:, :nt] * f * (1.0 - f)
+        dpre[rows["f"]] = dc * run.c[t][:, :nt] * f * (1.0 - f)
         dpre[rows["u"]] = du * (1.0 - u * u)
         for block in fixed:
             dpre[block] = 0.0
         dc_carry[:, :nt] = dc * f
         dh_carry[:, :nt] = params.wh.T @ dpre
 
-    flat = dpre_all[cache.t_idx, :, cache.k_idx]  # (n_valid, G*units)
+    flat = dpre_all[run.t_idx, :, run.k_idx]  # (n_valid, G*units)
     if params.input_kind == "one-hot":
-        wx = ColumnGrad.over(params.wx.shape, [cache.flat_ids], dt)
-        scatter_add_columns(wx.block, wx.slots(cache.flat_ids), flat.T)
+        wx = ColumnGrad.over(params.wx.shape, [run.flat_ids], dt)
+        scatter_add_columns(wx.block, wx.slots(run.flat_ids), flat.T)
     else:
-        wx = flat.T @ cache.x_flat
-    grads = LstmGrads(wx, flat.T @ cache.h[cache.t_idx, :, cache.k_idx],
-                      flat.sum(axis=0), [flat.T @ sv for sv in cache.sv_flat])
-
-    side_value_grads = None
-    if want_side_values_grad:
-        per_j = [_unpack_rows(flat @ sp.w, cache) for sp in params.side]
-        side_value_grads = [[dsv[k] for dsv in per_j] for k in range(n)]
-    input_grads = _unpack_rows(flat @ params.wx, cache) if want_input_grad else None
-    return grads, side_value_grads, input_grads
-
-
-# ---------------------------------------------------------------------------
-# Single-sequence operations (wrappers over the batched engine).
-# ---------------------------------------------------------------------------
-
-
-def plan_segments(total: int, seg_len, overlap: int = 0):
-    """(start, emit_start, end) spans covering [0, total).
-
-    Without overlap, start == emit_start.  With overlap, each segment after
-    the first begins `overlap` positions early as warm-up context; outputs
-    are emitted only from emit_start so every position is emitted once.
-    """
-    if seg_len is None or seg_len >= total:
-        return [(0, 0, total)]
-    if seg_len < 1:
-        raise ValueError("seg_len must be >= 1")
-    if not 0 <= overlap < seg_len:
-        raise ValueError("overlap must satisfy 0 <= overlap < seg_len")
-    plan = []
-    for emit in range(0, total, seg_len):
-        start = max(emit - overlap, 0)
-        plan.append((start, emit, min(emit + seg_len, total)))
-    return plan
-
-
-def _slice_input(params, inputs, start, end):
-    return inputs[start:end] if params.input_kind == "one-hot" else inputs[:, start:end]
-
-
-def _doc_len(params, inputs):
-    return inputs.shape[0] if params.input_kind == "one-hot" else inputs.shape[1]
-
-
-@dataclass
-class _DocsRun:
-    params: LstmParams
-    plans: list  # per doc: list of (start, emit, end)
-    totals: list
-    seg_start: list  # index of the doc's first segment in the flat lists
-    cache: _BatchCache
-
-
-def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
-                       overlap=0, override=None):
-    """Chop every document, run all segments through one batched pass.
-
-    Returns per-document (units, T) outputs indexed by absolute position
-    plus the run state consumed by batch_backward_docs.
-    """
-    inputs_list = [_normalize_input(params, x) for x in inputs_list]
-    if side_list is None:
-        side_list = [None] * len(inputs_list)
-    plans, totals, seg_start = [], [], []
-    seg_inputs, seg_sides = [], []
-    for inputs, sides in zip(inputs_list, side_list):
-        total = _doc_len(params, inputs)
-        if params.side and sides is None:
-            raise ValueError("cell has side channels but no side sequences given")
-        plan = plan_segments(total, seg_len, overlap) if total else []
-        plans.append(plan)
-        totals.append(total)
-        seg_start.append(len(seg_inputs))
-        for s, _, e in plan:
-            seg_inputs.append(_slice_input(params, inputs, s, e))
-            if params.side:
-                seg_sides.append([np.asarray(sv)[:, s:e] for sv in sides])
-            else:
-                seg_sides.append([])
-    outs, cache = batch_forward(params, seg_inputs, seg_sides, override)
-    h_docs = []
-    for i, (plan, total) in enumerate(zip(plans, totals)):
-        h = np.zeros((params.units, total), dtype=params.dtype)
-        for j, (s, emit, e) in enumerate(plan):
-            h[:, emit:e] = outs[seg_start[i] + j][:, emit - s:]
-        h_docs.append(h)
-    return h_docs, _DocsRun(params, plans, totals, seg_start, cache)
-
-
-def batch_backward_docs(run, upstreams, want_side_values_grad=False,
-                        want_input_grad=False):
-    """BPTT over a batch_forward_docs pass; per-doc upstream (units, T)."""
-    params = run.params
-    dt = params.dtype
-    seg_ups = []
-    for i, plan in enumerate(run.plans):
-        up = np.asarray(upstreams[i], dtype=dt)
-        if up.shape != (params.units, run.totals[i]):
-            raise ValueError(f"upstream for doc {i}: expected ({params.units}, {run.totals[i]})")
-        for s, emit, e in plan:
-            seg_up = np.zeros((params.units, e - s), dtype=dt)
-            seg_up[:, emit - s:] = up[:, emit:e]
-            seg_ups.append(seg_up)
-    grads, dsv_segs, dx_segs = batch_backward(run.cache, seg_ups,
-                                              want_side_values_grad, want_input_grad)
-    dsv_docs = None
-    if want_side_values_grad:
-        dsv_docs = []
-        for i, plan in enumerate(run.plans):
-            per_j = [np.zeros((sp.dim, run.totals[i]), dtype=dt) for sp in params.side]
-            for j_seg, (s, _, e) in enumerate(plan):
-                seg = dsv_segs[run.seg_start[i] + j_seg]
-                for j in range(len(params.side)):
-                    per_j[j][:, s:e] += seg[j]
-            dsv_docs.append(per_j)
-    dx_docs = None
+        wx = flat.T @ run.x_flat
+    grads = LstmGrads(wx, flat.T @ run.h[run.t_idx, :, run.k_idx],
+                      flat.sum(axis=0), [flat.T @ sv for sv in run.sv_flat])
+    input_grads = None
     if want_input_grad:
-        dx_docs = []
-        for i, plan in enumerate(run.plans):
-            dx = np.zeros((params.input_dim, run.totals[i]), dtype=dt)
-            for j_seg, (s, _, e) in enumerate(plan):
-                dx[:, s:e] += dx_segs[run.seg_start[i] + j_seg]
-            dx_docs.append(dx)
-    return grads, dsv_docs, dx_docs
+        # a warm-up position is read by two segments; their terms add up
+        dx = np.zeros((params.input_dim, up_all.shape[1]), dtype=dt)
+        scatter_add_columns(dx, run.src, (flat @ params.wx).T)
+        input_grads = _by_doc(dx, run.totals)
+    return grads, input_grads
 
 
-def forward_sequence(params, inputs, seg_len=None, side_seq=None, override=None, overlap=0):
+# ---------------------------------------------------------------------------
+# Single-document wrappers over the engine.
+# ---------------------------------------------------------------------------
+
+
+def forward_sequence(params, inputs, seg_len=None, side_seq=None, override=None,
+                     overlap=0, reverse=False):
     """Per-step outputs h_t as a (units, T) matrix, zero initial state.
 
     With seg_len set, state is reset at segment boundaries (the chopping
-    training approximation); outputs stay indexed by absolute position.
+    training approximation); with `reverse` the cell reads right to left.
+    Outputs stay indexed by position either way.
     """
-    if side_seq is not None and len(side_seq) != len(params.side):
-        raise ValueError(f"expected {len(params.side)} side sequences")
-    h_docs, _ = batch_forward_docs(params, [inputs], [side_seq], seg_len, overlap, override)
+    h_docs, _ = batch_forward_docs(params, [inputs], [side_seq], seg_len, overlap,
+                                   override, reverse)
     return h_docs[0]
 
 
-def reverse_forward(params, inputs, seg_len=None, side_seq=None, override=None, overlap=0):
-    """forward_sequence on the reversed sequence, re-indexed to original positions."""
-    inputs = _normalize_input(params, inputs)
-    rev = inputs[::-1] if params.input_kind == "one-hot" else inputs[:, ::-1]
-    rev_side = None
-    if side_seq is not None:
-        rev_side = [np.asarray(sv)[:, ::-1] for sv in side_seq]
-    h = forward_sequence(params, rev, seg_len, rev_side, override, overlap)
-    return h[:, ::-1].copy()
-
-
 def sequence_gradients(params, inputs, upstream, seg_len=None, side_seq=None,
-                       override=None, overlap=0, want_side_values_grad=False):
-    """Exact gradients of sum_t upstream[:,t] . h_t w.r.t. all parameters.
-
-    Returns (LstmGrads, side-value gradients) where the second item is a
-    list of (dim_j, T) matrices (or None unless requested).
-    """
-    if side_seq is not None and len(side_seq) != len(params.side):
-        raise ValueError(f"expected {len(params.side)} side sequences")
+                       override=None, overlap=0):
+    """Exact gradients (LstmGrads) of sum_t upstream[:,t] . h_t w.r.t. all
+    parameters."""
     _, run = batch_forward_docs(params, [inputs], [side_seq], seg_len, overlap, override)
-    grads, dsv_docs, _ = batch_backward_docs(run, [upstream], want_side_values_grad)
-    return grads, (dsv_docs[0] if want_side_values_grad else None)
+    grads, _ = batch_backward_docs(run, [upstream])
+    return grads
 
 
 def fold_embedding(params: LstmParams, emb: np.ndarray) -> LstmParams:

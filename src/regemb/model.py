@@ -238,20 +238,6 @@ def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _part_sequences(branch, params, reverse, docs, tv_list):
-    inputs, sides = [], []
-    for doc, tv in zip(docs, tv_list):
-        ids = doc.ids if hasattr(doc, "ids") else np.asarray(doc, dtype=np.int64)
-        if branch.embedding is not None:
-            x = branch.embedding[:, ids]
-            inputs.append(x[:, ::-1] if reverse else x)
-        else:
-            inputs.append(ids[::-1] if reverse else ids)
-        mats = _side_inputs(params, tv)
-        sides.append([m[:, ::-1] for m in mats] if reverse and mats else mats)
-    return inputs, (sides if params.side else None)
-
-
 def _side_inputs(params, tv):
     """The tv outputs a branch's side channels read, or None without any."""
     if not params.side:
@@ -271,12 +257,16 @@ def _branch_forward(branch, docs, tv_list, chop_len, overlap):
                                         _side_inputs(branch.params, tv))
                   for doc, tv in zip(docs, tv_list)]
         return h_docs, None
+    inputs = [doc.ids if hasattr(doc, "ids") else np.asarray(doc, dtype=np.int64)
+              for doc in docs]
+    if branch.embedding is not None:
+        inputs = [branch.embedding[:, ids] for ids in inputs]
     part_h, runs = [], []
     for _, params, reverse in branch.parts():
-        inputs, sides = _part_sequences(branch, params, reverse, docs, tv_list)
-        hs, run = lstm_mod.batch_forward_docs(params, inputs, sides,
-                                              chop_len, overlap)
-        part_h.append([h[:, ::-1] for h in hs] if reverse else hs)
+        sides = [_side_inputs(params, tv) for tv in tv_list]
+        hs, run = lstm_mod.batch_forward_docs(params, inputs, sides, chop_len,
+                                              overlap, reverse=reverse)
+        part_h.append(hs)
         runs.append(run)
     return [np.concatenate(hs, axis=0) for hs in zip(*part_h)], runs
 
@@ -303,16 +293,12 @@ def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
                                    [doc.ids for doc in docs],
                                    branch.embedding.dtype)
         grads[f"{prefix}.emb"] = emb_grad
-    for pi, ((tag, params, reverse), run) in enumerate(zip(parts, runs)):
-        ups = []
-        for dh in dh_docs:
-            up = dh[row_split[pi]:row_split[pi + 1]]
-            ups.append(up[:, ::-1] if reverse else up)
-        lg, _, dx = lstm_mod.batch_backward_docs(run, ups, want_input_grad=want_emb)
+    for pi, ((tag, params, _), run) in enumerate(zip(parts, runs)):
+        ups = [dh[row_split[pi]:row_split[pi + 1]] for dh in dh_docs]
+        lg, dx = lstm_mod.batch_backward_docs(run, ups, want_input_grad=want_emb)
         if want_emb:
             for doc, dx_doc in zip(docs, dx):
-                ids = doc.ids[::-1] if reverse else doc.ids
-                scatter_add_columns(emb_grad.block, emb_grad.slots(ids), dx_doc)
+                scatter_add_columns(emb_grad.block, emb_grad.slots(doc.ids), dx_doc)
         grads.update(lstm_mod.gate_tensors(params, f"{prefix}.{tag}.", lg))
 
 

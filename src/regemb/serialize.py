@@ -69,7 +69,8 @@ class _Tensors(dict):
 
 def load_tensors(path):
     """Read the container; data is promoted to the active precision.
-    A tensor with a NaN or infinite entry is a data error."""
+    A tensor with a NaN or infinite entry, a repeated tensor name and bytes
+    after the last tensor are data errors."""
     with open(path, "rb") as fh:
         raw = fh.read()
     view = memoryview(raw)
@@ -95,6 +96,8 @@ def load_tensors(path):
             pos += 4
             name = bytes(view[pos:pos + name_len]).decode("utf-8")
             pos += name_len
+            if name in tensors:
+                raise DataError(f"{path}: duplicate tensor {name!r}")
             rows, cols = struct.unpack_from("<QQ", raw, pos)
             pos += 16
             count = rows * cols
@@ -103,7 +106,9 @@ def load_tensors(path):
             if not all_finite(data):
                 raise DataError(f"{path}: tensor {name!r} has non-finite values")
             tensors[name] = data.reshape(rows, cols).astype(real_dtype())
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+        if pos != len(raw):
+            raise DataError(f"{path}: {len(raw) - pos} bytes after the last tensor")
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt container ({exc})") from None
     return metadata, tensors
 
@@ -132,7 +137,11 @@ def _tv_config(emb: tv_mod.TvEmbedding) -> dict:
 
 
 def _tv_from_config(cfg: dict, tensors: dict, prefix: str = "") -> tv_mod.TvEmbedding:
+    if cfg["kind"] not in ("lstm", "cnn"):
+        raise ValueError(f"unknown tv kind {cfg['kind']!r}")
     if cfg["kind"] == "lstm":
+        if cfg["direction"] not in ("forward", "backward"):
+            raise ValueError(f"unknown tv direction {cfg['direction']!r}")
         params = _lstm_from(tensors, prefix, "full", cfg["dim"], cfg["vocab_size"],
                             "one-hot", [])
         emb = tv_mod.TvEmbedding(
@@ -229,6 +238,8 @@ def save_model(path, spec: model_mod.ModelSpec) -> None:
 def _lstm_from(tensors, prefix, variant, units, input_dim, input_kind, side):
     """A cell whose stacked tensors are filled from the per-gate ones that
     `gate_tensors` names; `side` lists (tv id, dim) pairs."""
+    if variant not in lstm_mod.GATES:
+        raise ValueError(f"unknown LSTM variant {variant!r}")
     rows = len(lstm_mod.GATES[variant]) * units
     dt = real_dtype()
     params = lstm_mod.LstmParams(
@@ -255,6 +266,8 @@ def _model_from_config(cfg: dict, tensors: dict) -> model_mod.ModelSpec:
         tv_table[tv_id] = _tv_from_config(cfg["tv"][tv_id], tensors, f"tv.{tv_id}.")
     branches = []
     for bi, bc in enumerate(cfg["branches"]):
+        if bc["type"] not in ("lstm", "conv"):
+            raise ValueError(f"unknown branch type {bc['type']!r}")
         pooling = model_mod.PoolingSpec(bc["pooling"]["kind"], bc["pooling"]["regions"])
         if bc["type"] == "lstm":
             embedding = tensors.get(f"br{bi}.emb")

@@ -214,12 +214,14 @@ def _collect_targets(ids, spec: TvObjectiveSpec, region_size=None):
 
 def _sample_negatives_flat(pos_keys_sorted, n_pos, dim, neg, gen):
     """neg distinct zero coordinates per position, uniform; vectorized with
-    rejection fix-up (row keys = row*dim + coord)."""
+    rejection fix-up (row keys = row*dim + coord).  A position with at most
+    neg zero coordinates takes all of them and draws nothing."""
     if neg == 0 or n_pos == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    rows = np.repeat(np.arange(n_pos, dtype=np.int64), neg)
+    n_zero = dim - np.bincount(pos_keys_sorted // dim, minlength=n_pos)
+    rows = np.repeat(np.flatnonzero(n_zero > neg), neg)
     coords = gen.integers(0, dim, size=rows.size)
-    for _ in range(64):
+    while True:
         keys = rows * dim + coords
         bad = np.isin(keys, pos_keys_sorted)
         # also reject duplicates within a position
@@ -233,7 +235,9 @@ def _sample_negatives_flat(pos_keys_sorted, n_pos, dim, neg, gen):
         if not bad.any():
             break
         coords[bad] = gen.integers(0, dim, size=int(bad.sum()))
-    return rows, coords
+    every = (np.flatnonzero(n_zero <= neg)[:, None] * dim + np.arange(dim)).ravel()
+    every = every[~np.isin(every, pos_keys_sorted)]
+    return np.concatenate([rows, every // dim]), np.concatenate([coords, every % dim])
 
 
 def _head_terms(targets_batch, dim, neg, gen):
@@ -352,14 +356,10 @@ def train_tv_lstm(unlabeled, spec: TvObjectiveSpec, dim: int, cfg: TrainConfig,
     reverse = spec.direction == "backward"
 
     def forward_fn(doc_idx, targets_batch):
-        inputs = [docs[i].ids[::-1] if reverse else docs[i].ids for i in doc_idx]
-        h_docs, run = lstm_mod.batch_forward_docs(params, inputs, None,
-                                                  cfg.chop_len, cfg.chop_overlap)
-        cols = []
-        for h, i, tgt in zip(h_docs, doc_idx, targets_batch):
-            if reverse:
-                h = h[:, ::-1]
-            cols.append(h[:, tgt.positions])
+        h_docs, run = lstm_mod.batch_forward_docs(
+            params, [docs[i].ids for i in doc_idx], None, cfg.chop_len,
+            cfg.chop_overlap, reverse=reverse)
+        cols = [h[:, tgt.positions] for h, tgt in zip(h_docs, targets_batch)]
         return np.concatenate(cols, axis=1), (run, doc_idx, targets_batch)
 
     def backward_fn(state, dh_all):
@@ -370,10 +370,8 @@ def train_tv_lstm(unlabeled, spec: TvObjectiveSpec, dim: int, cfg: TrainConfig,
             up = np.zeros((dim, len(docs[i].ids)), dtype=params.dtype)
             up[:, tgt.positions] = dh_all[:, col:col + tgt.positions.size]
             col += tgt.positions.size
-            if reverse:
-                up = up[:, ::-1]
             ups.append(up)
-        lg, _, _ = lstm_mod.batch_backward_docs(run, ups)
+        lg, _ = lstm_mod.batch_backward_docs(run, ups)
         return dict(lstm_mod.gate_tensors(params, grads=lg))
 
     tensors = dict(lstm_mod.gate_tensors(params))
@@ -447,9 +445,8 @@ def apply_tv(emb: TvEmbedding, ids_or_seq) -> np.ndarray:
     ids = ids_or_seq.ids if isinstance(ids_or_seq, TokenSequence) else \
         np.asarray(ids_or_seq, dtype=np.int64)
     if emb.kind == "lstm":
-        if emb.direction == "backward":
-            return lstm_mod.reverse_forward(emb.lstm_params, ids)
-        return lstm_mod.forward_sequence(emb.lstm_params, ids)
+        return lstm_mod.forward_sequence(emb.lstm_params, ids,
+                                         reverse=emb.direction == "backward")
     total = len(ids)
     out = np.zeros((emb.dim, total), dtype=emb.conv_params.dtype)
     size = emb.region_size

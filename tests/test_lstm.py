@@ -7,14 +7,12 @@ from regemb.lstm import (
     LstmParams,
     LstmState,
     SideInputParams,
-    batch_backward,
-    batch_forward,
+    batch_backward_docs,
     batch_forward_docs,
     fold_embedding,
     forward_sequence,
     lstm_step,
     plan_segments,
-    reverse_forward,
     sequence_gradients,
 )
 from regemb.numkernel import RngSpec, SparseVector
@@ -186,7 +184,7 @@ class TestReverseForward:
         half = rng.integers(0, 4, size=5)
         ids = np.concatenate([half, half[::-1]])
         fwd = forward_sequence(p, ids)
-        bwd = reverse_forward(p, ids)
+        bwd = forward_sequence(p, ids, reverse=True)
         for t in range(len(ids)):
             np.testing.assert_allclose(bwd[:, t], fwd[:, len(ids) - 1 - t],
                                        rtol=1e-12, atol=1e-14)
@@ -195,7 +193,7 @@ class TestReverseForward:
         rng = np.random.default_rng(10)
         p = random_params(rng, "full", 3, 4)
         ids = np.array([2])
-        np.testing.assert_array_equal(reverse_forward(p, ids),
+        np.testing.assert_array_equal(forward_sequence(p, ids, reverse=True),
                                       forward_sequence(p, ids))
 
     def test_is_forward_of_reversed(self):
@@ -203,7 +201,7 @@ class TestReverseForward:
         p = random_params(rng, "simplified", 3, 5, n_side=1, side_dim=2)
         ids = rng.integers(0, 5, size=8)
         side = [rng.standard_normal((2, 8))]
-        got = reverse_forward(p, ids, side_seq=side)
+        got = forward_sequence(p, ids, side_seq=side, reverse=True)
         want = forward_sequence(p, ids[::-1], side_seq=[side[0][:, ::-1]])[:, ::-1]
         np.testing.assert_array_equal(got, want)
 
@@ -215,7 +213,7 @@ class TestBatchEngine:
         lengths = [5, 1, 9, 3, 9, 2]
         seqs = [rng.integers(0, 7, size=n) for n in lengths]
         sides = [[rng.standard_normal((3, n)) for _ in range(2)] for n in lengths]
-        outs, _ = batch_forward(p, seqs, sides)
+        outs, _ = batch_forward_docs(p, seqs, sides)
         for seq, sv, out in zip(seqs, sides, outs):
             np.testing.assert_allclose(out, forward_sequence(p, seq, side_seq=sv),
                                        rtol=1e-12, atol=1e-14)
@@ -226,11 +224,11 @@ class TestBatchEngine:
         lengths = [4, 6, 2]
         seqs = [rng.integers(0, 5, size=n) for n in lengths]
         ups = [rng.standard_normal((3, n)) for n in lengths]
-        _, cache = batch_forward(p, seqs)
-        got, _, _ = batch_backward(cache, ups)
+        _, run = batch_forward_docs(p, seqs)
+        got, _ = batch_backward_docs(run, ups)
         want = {name: np.zeros_like(arr) for name, arr in param_arrays(p)}
         for seq, up in zip(seqs, ups):
-            single, _ = sequence_gradients(p, seq, up)
+            single = sequence_gradients(p, seq, up)
             for name, arr in grad_arrays(p, single):
                 want[name] += arr
         for name, arr in grad_arrays(p, got):
@@ -256,17 +254,97 @@ class TestBatchEngine:
         assert h_docs[1].shape == (2, 3)
 
 
+def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
+    """lstm_step loop over one document: the state resets at every segment
+    start, and only positions past a segment's warm-up keep their output."""
+    one_hot = p.input_kind == "one-hot"
+    total = len(inputs) if one_hot else inputs.shape[1]
+    seg_len = seg_len or max(total, 1)
+    h = np.zeros((p.units, total))
+    for emit in range(0, total, seg_len):
+        st = LstmState.zeros(p.units, p.dtype)
+        for r in range(max(emit - overlap, 0), min(emit + seg_len, total)):
+            t = total - 1 - r if reverse else r
+            x = SparseVector.one_hot(p.input_dim, int(inputs[t])) if one_hot \
+                else inputs[:, t]
+            st = lstm_step(p, x, st, side_vals=[sv[:, t] for sv in sides])
+            if r >= emit:
+                h[:, t] = st.h
+    return h
+
+
+def ragged_batch(rng, input_kind, n_side, dim=4, side_dim=2):
+    """Documents of lengths 5, 0, 1, 9, 4 and 7 with their side values."""
+    lengths = [5, 0, 1, 9, 4, 7]
+    if input_kind == "one-hot":
+        docs = [rng.integers(0, dim, size=n) for n in lengths]
+    else:
+        docs = [rng.standard_normal((dim, n)) for n in lengths]
+    sides = [[rng.standard_normal((side_dim, n)) for _ in range(n_side)]
+             for n in lengths]
+    return docs, sides
+
+
+class TestEngineAgainstStepOracle:
+    @pytest.mark.parametrize("variant", ["simplified", "full"])
+    @pytest.mark.parametrize("n_side", [0, 2])
+    @pytest.mark.parametrize("input_kind", ["one-hot", "dense"])
+    @pytest.mark.parametrize("seg_len,overlap", [(None, 0), (3, 0), (4, 2)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_outputs(self, reverse, seg_len, overlap, input_kind, n_side, variant):
+        rng = np.random.default_rng(40)
+        p = random_params(rng, variant, 3, 4, input_kind, n_side)
+        docs, sides = ragged_batch(rng, input_kind, n_side)
+        h_docs, _ = batch_forward_docs(p, docs, sides if n_side else None, seg_len,
+                                       overlap, reverse=reverse)
+        assert [h.shape for h in h_docs] == [(3, np.shape(d)[-1]) for d in docs]
+        for doc, sv, h in zip(docs, sides, h_docs):
+            np.testing.assert_allclose(
+                h, oracle_forward(p, doc, sv, seg_len, overlap, reverse),
+                rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("input_kind", ["one-hot", "dense"])
+    def test_gradients_reverse_overlap_side(self, input_kind):
+        eps = 1e-4
+        seg_len, overlap = 4, 2
+        rng = np.random.default_rng(41)
+        p = random_params(rng, "full", 2, 4, input_kind, n_side=2)
+        docs, sides = ragged_batch(rng, input_kind, 2)
+        ups = [rng.standard_normal((2, np.shape(d)[-1])) for d in docs]
+        dense = input_kind == "dense"
+
+        def loss():
+            return sum(float(np.sum(up * oracle_forward(p, d, sv, seg_len, overlap,
+                                                        True)))
+                       for d, sv, up in zip(docs, sides, ups))
+
+        _, run = batch_forward_docs(p, docs, sides, seg_len, overlap, reverse=True)
+        grads, dx = batch_backward_docs(run, ups, want_input_grad=dense)
+        checked = [(name, arr, np.asarray(g)) for (name, arr), (_, g) in
+                   zip(param_arrays(p), grad_arrays(p, grads))]
+        if dense:
+            checked += [(f"x{i}", d, g) for i, (d, g) in enumerate(zip(docs, dx))]
+        for name, arr, analytic in checked:
+            flat, aflat = arr.reshape(-1), analytic.reshape(-1)
+            for c in range(flat.size):
+                orig = flat[c]
+                flat[c] = orig + eps
+                up = loss()
+                flat[c] = orig - eps
+                down = loss()
+                flat[c] = orig
+                assert rel_err(aflat[c], (up - down) / (2 * eps)) < 1e-4, (name, c)
+
+
 class TestSequenceGradients:
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(16)
         p = random_params(rng, "full", 3, 5, n_side=1)
         ids = rng.integers(0, 5, size=4)
         side = [rng.standard_normal((2, 4))]
-        grads, dsv = sequence_gradients(p, ids, np.zeros((3, 4)), side_seq=side,
-                                        want_side_values_grad=True)
+        grads = sequence_gradients(p, ids, np.zeros((3, 4)), side_seq=side)
         for _, arr in grad_arrays(p, grads):
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
-        np.testing.assert_array_equal(dsv[0], np.zeros((2, 4)))
 
     @pytest.mark.parametrize("variant,input_kind,n_side,seg_len", [
         ("simplified", "one-hot", 0, None),
@@ -295,9 +373,8 @@ class TestSequenceGradients:
                 h = forward_sequence(p, inputs, seg_len=seg_len, side_seq=side)
                 return float(np.sum(upstream * h))
 
-            grads, dsv = sequence_gradients(p, inputs, upstream, seg_len=seg_len,
-                                            side_seq=side,
-                                            want_side_values_grad=bool(n_side))
+            grads = sequence_gradients(p, inputs, upstream, seg_len=seg_len,
+                                       side_seq=side)
             analytic = dict(grad_arrays(p, grads))
             for name, arr in param_arrays(p):
                 flat = arr.reshape(-1)
@@ -311,19 +388,6 @@ class TestSequenceGradients:
                     flat[c] = orig
                     numeric = (up - down) / (2 * eps)
                     assert rel_err(aflat[c], numeric) < 1e-4, (name, c)
-            # gradients w.r.t. side values against the same oracle
-            for j in range(n_side):
-                flat = side[j].reshape(-1)
-                dflat = dsv[j].reshape(-1)
-                for c in range(flat.size):
-                    orig = flat[c]
-                    flat[c] = orig + eps
-                    up = loss()
-                    flat[c] = orig - eps
-                    down = loss()
-                    flat[c] = orig
-                    numeric = (up - down) / (2 * eps)
-                    assert rel_err(dflat[c], numeric) < 1e-4, ("side", j, c)
 
     def test_input_grads_for_dense(self):
         eps = 1e-4
@@ -332,8 +396,7 @@ class TestSequenceGradients:
         x = rng.standard_normal((4, 5))
         upstream = rng.standard_normal((3, 5))
         _, run = batch_forward_docs(p, [x])
-        _, _, dx_docs = __import__("regemb.lstm", fromlist=["batch_backward_docs"]) \
-            .batch_backward_docs(run, [upstream], want_input_grad=True)
+        _, dx_docs = batch_backward_docs(run, [upstream], want_input_grad=True)
         dx = dx_docs[0]
         flat = x.reshape(-1)
         dflat = dx.reshape(-1)
@@ -351,10 +414,10 @@ class TestSequenceGradients:
         p = random_params(rng, "simplified", 3, 5)
         ids = rng.integers(0, 5, size=8)
         upstream = rng.standard_normal((3, 8))
-        whole, _ = sequence_gradients(p, ids, upstream, seg_len=3)
+        whole = sequence_gradients(p, ids, upstream, seg_len=3)
         summed = {name: np.zeros_like(arr) for name, arr in param_arrays(p)}
         for lo in range(0, 8, 3):
-            part, _ = sequence_gradients(p, ids[lo:lo + 3], upstream[:, lo:lo + 3])
+            part = sequence_gradients(p, ids[lo:lo + 3], upstream[:, lo:lo + 3])
             for name, arr in grad_arrays(p, part):
                 summed[name] += arr
         for name, arr in grad_arrays(p, whole):
@@ -366,7 +429,7 @@ class TestSequenceGradients:
         ids = rng.integers(0, 5, size=4)
         upstream = rng.standard_normal((3, 4))
         ov = GateOverride(input_gate_one=True, output_gate_one=True)
-        grads, _ = sequence_gradients(p, ids, upstream, override=ov)
+        grads = sequence_gradients(p, ids, upstream, override=ov)
         wx = np.asarray(grads.wx)
         # rows 0-5 are the i and o blocks, rows 6-8 the f block
         np.testing.assert_array_equal(wx[:6], np.zeros((6, 5)))

@@ -125,6 +125,78 @@ class TestContainer:
             load_tensors(path)
 
 
+def _layout(raw):
+    """Offset of the n_tensors field, (start, end) of every tensor record."""
+    (meta_len,) = struct.unpack_from("<I", raw, 8)
+    count_at = pos = 12 + meta_len
+    (n_tensors,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    records = []
+    for _ in range(n_tensors):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        rows, cols = struct.unpack_from("<QQ", raw, pos + 4 + name_len)
+        end = pos + 4 + name_len + 16 + 4 * rows * cols
+        records.append((pos, end))
+        pos = end
+    return count_at, records
+
+
+def _put_u32(raw, at, value):
+    return raw[:at] + struct.pack("<I", value % 2**32) + raw[at + 4:]
+
+
+def _duplicated_first(raw):
+    count_at, records = _layout(raw)
+    lo, hi = records[0]
+    raw = raw[:hi] + raw[lo:hi] + raw[hi:]
+    return _put_u32(raw, count_at, len(records) + 1)
+
+
+def _n_tensors_plus(delta):
+    def edit(raw):
+        count_at, records = _layout(raw)
+        return _put_u32(raw, count_at, len(records) + delta)
+    return edit
+
+
+def _meta_len_plus(delta):
+    def edit(raw):
+        return _put_u32(raw, 8, struct.unpack_from("<I", raw, 8)[0] + delta)
+    return edit
+
+
+# every corruption of a valid container that loading must refuse: name,
+# variants of the file's bytes, expected message (None: any data error)
+CORRUPTIONS = [
+    ("trailing bytes", lambda raw: [raw + b"\x00" * 4, raw + b"x"],
+     "bytes after the last tensor"),
+    ("duplicate name", lambda raw: [_duplicated_first(raw)], "duplicate tensor"),
+    ("magic", lambda raw: [b"RGEN" + raw[4:], b"\x00" * 4 + raw[4:]], "not a RGEM"),
+    ("version", lambda raw: [_put_u32(raw, 4, v) for v in (0, VERSION + 1, -1)],
+     "version"),
+    ("meta_len", lambda raw: [_meta_len_plus(d)(raw) for d in (-1, 1, -12, 2**31)], None),
+    ("n_tensors", lambda raw: [_n_tensors_plus(d)(raw) for d in (-1, 1, -100, 2**31)],
+     None),
+    ("truncation", lambda raw: [raw[:cut] for cut in range(len(raw))], None),
+]
+
+
+class TestCorruptContainer:
+    FILE = Path(__file__).parent / "data" / "format" / "tvl.tv"
+
+    @pytest.mark.parametrize("what,variants,message", CORRUPTIONS,
+                             ids=[c[0] for c in CORRUPTIONS])
+    def test_is_data_error(self, tmp_path, what, variants, message):
+        raw = self.FILE.read_bytes()
+        load_tensors(self.FILE)
+        bad = tmp_path / "bad.tv"
+        for data in variants(raw):
+            assert data != raw
+            bad.write_bytes(data)
+            with pytest.raises(DataError, match=message):
+                load_tensors(bad)
+
+
 class TestTvFiles:
     @pytest.mark.parametrize("kind", ["lstm", "cnn"])
     def test_round_trip(self, tmp_path, kind):
@@ -228,6 +300,18 @@ def _poison(name, value):
     return edit
 
 
+def _set_config(keys, value):
+    """Set the config entry reached through `keys` to `value`."""
+    def edit(meta, tensors):
+        cfg = json.loads(meta["config"])
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        meta["config"] = json.dumps(cfg)
+    return edit
+
+
 def _drop_config_key(key):
     def edit(meta, tensors):
         cfg = json.loads(meta["config"])
@@ -246,6 +330,12 @@ class TestMalformedFiles:
         ("nan", _poison("br1.w", np.nan), "'br1.w' has non-finite"),
         ("inf", _poison("top.b", -np.inf), "'top.b' has non-finite"),
         ("tv nan", _poison("tv.tv12.w", np.nan), "'tv.tv12.w' has non-finite"),
+        ("lstm variant", _set_config(["branches", 0, "parts", "bwd", "variant"], "bogus"),
+         "unknown LSTM variant 'bogus'"),
+        ("branch type", _set_config(["branches", 1, "type"], "bogus"),
+         "unknown branch type 'bogus'"),
+        ("tv direction", _set_config(["tv", "tv11", "direction"], "bogus"),
+         "unknown tv direction 'bogus'"),
     ]
 
     @pytest.mark.parametrize("what,edit,message", MODEL_CASES,
@@ -263,6 +353,7 @@ class TestMalformedFiles:
         ("config key", _drop_config_key("region_size"), "'region_size'"),
         ("tensor", lambda m, t: t.pop("b"), "'b'"),
         ("nan", _poison("w", np.nan), "'w' has non-finite"),
+        ("kind", _set_config(["kind"], "bogus"), "unknown tv kind 'bogus'"),
     ]
 
     @pytest.mark.parametrize("what,edit,message", TV_CASES,

@@ -12,7 +12,12 @@ import regemb.lstm as lstm_mod
 import regemb.model as model_mod
 from regemb.conv import ConvParams, backward_from_mask, pre_activation
 from regemb.corpus import TokenSequence
-from regemb.lstm import LstmParams, SideInputParams, batch_backward, batch_forward
+from regemb.lstm import (
+    LstmParams,
+    SideInputParams,
+    batch_backward_docs,
+    batch_forward_docs,
+)
 from regemb.model import (
     ConvBranch,
     LstmBranch,
@@ -113,7 +118,7 @@ class TestLstmColumnGrad:
         params = LstmParams.create(variant, units, vocab, "one-hot", gen, std=0.5)
         seqs = _docs(gen, 5, vocab)
         ups = [gen.standard_normal((units, len(s))).astype(params.dtype) for s in seqs]
-        _, cache = batch_forward(params, seqs)
+        _, run = batch_forward_docs(params, seqs)
         scattered = []  # the per-position gradients of the stacked gates
 
         def recording(dest, idx, cols):
@@ -121,18 +126,18 @@ class TestLstmColumnGrad:
             return scatter_add_columns(dest, idx, cols)
 
         monkeypatch.setattr(lstm_mod, "scatter_add_columns", recording)
-        grads, _, _ = batch_backward(cache, ups)
+        grads, _ = batch_backward_docs(run, ups)
         assert len(scattered) == 1  # one scatter for every gate at once
         assert isinstance(grads.wx, ColumnGrad)
         dense = np.zeros_like(params.wx)
-        scatter_add_columns(dense, cache.flat_ids, scattered[0])
+        scatter_add_columns(dense, run.flat_ids, scattered[0])
         np.testing.assert_array_equal(np.asarray(grads.wx), dense)
         np.testing.assert_array_equal(grads.wx.cols, np.unique(np.concatenate(seqs)))
 
     def test_empty_batch_is_zero(self):
         params = LstmParams.create("simplified", 2, 6, "one-hot", RngSpec(0))
-        _, cache = batch_forward(params, [np.zeros(0, np.int64)])
-        grads, _, _ = batch_backward(cache, [np.zeros((2, 0))])
+        _, run = batch_forward_docs(params, [np.zeros(0, np.int64)])
+        grads, _ = batch_backward_docs(run, [np.zeros((2, 0))])
         np.testing.assert_array_equal(np.asarray(grads.wx), np.zeros((4, 6)))
 
 
@@ -164,10 +169,10 @@ class TestEmbeddingColumnGrad:
         emb_grad = grads["br0.emb"]
         assert isinstance(emb_grad, ColumnGrad)
         dense = np.zeros_like(spec.branches[0].embedding)
-        order = [(d.ids, False) for d in docs] + [(d.ids, True) for d in docs]
+        order = [d.ids for d in docs] * 2  # both parts, columns in position order
         assert len(scattered) == len(order)
-        for (ids, reverse), cols in zip(order, scattered):
-            scatter_add_columns(dense, ids[::-1] if reverse else ids, cols)
+        for ids, cols in zip(order, scattered):
+            scatter_add_columns(dense, ids, cols)
         np.testing.assert_array_equal(np.asarray(emb_grad), dense)
 
 

@@ -10,6 +10,7 @@ from regemb.optim import TrainConfig
 from regemb.tvembed import (
     TvEmbedding,
     TvObjectiveSpec,
+    _sample_negatives_flat,
     apply_tv,
     attach,
     sample_negative_weights,
@@ -152,6 +153,29 @@ class TestSampleNegatives:
         np.testing.assert_array_equal(w.indices, np.arange(10))
 
 
+class TestSampleNegativesFlat:
+    def test_small_target_vocabulary(self):
+        # dim 8, neg 5: rows 0 and 2 have fewer than neg + 1 zero coordinates
+        dim, neg = 8, 5
+        positives = [np.arange(5), np.array([1, 6]), np.arange(3), np.array([], int),
+                     np.array([7])]
+        pos_keys = np.sort(np.concatenate(
+            [row * dim + p for row, p in enumerate(positives)]).astype(np.int64))
+        for seed in range(20):
+            rows, coords = _sample_negatives_flat(pos_keys, len(positives), dim, neg,
+                                                  np.random.default_rng(seed))
+            keys = rows * dim + coords
+            assert np.unique(keys).size == keys.size
+            assert not np.isin(keys, pos_keys).any()
+            for row, pos in enumerate(positives):
+                got = np.sort(coords[rows == row])
+                zeros = np.setdiff1d(np.arange(dim), pos)
+                if zeros.size <= neg:
+                    np.testing.assert_array_equal(got, zeros)
+                else:
+                    assert got.size == neg
+
+
 class TestTrainTvLstm:
     def test_successor_corpus_objective_drops(self):
         ds = successor_corpus()
@@ -241,8 +265,8 @@ class TestApplyTv:
     def test_lstm_backward_reindexed(self):
         emb = self._lstm_emb(direction="backward")
         ids = np.array([0, 3, 2, 5])
-        np.testing.assert_array_equal(apply_tv(emb, ids),
-                                      lstm_mod.reverse_forward(emb.lstm_params, ids))
+        want = lstm_mod.forward_sequence(emb.lstm_params, ids[::-1])[:, ::-1]
+        np.testing.assert_array_equal(apply_tv(emb, ids), want)
 
     def test_cnn_center_alignment(self):
         # region of words 0..4 lands on position 2
