@@ -438,9 +438,23 @@ def cmd_train(args):
     return 0
 
 
+def _check_train_tv_flags(args):
+    """Refuse flags that would change nothing for the embedding kind."""
+    if args.kind == "cnn":
+        if args.region is None:
+            _usage("--kind cnn needs --region")
+        ignored = {"--chop": args.chop is not None, "--overlap": args.overlap != 0,
+                   "--direction bwd": args.direction == "bwd"}
+    else:
+        ignored = {"--region": args.region is not None,
+                   "--input-kind seq": args.input_kind == "seq"}
+    for flag, given in ignored.items():
+        if given:
+            _usage(f"{flag} does not apply to --kind {args.kind}")
+
+
 def cmd_train_tv(args):
-    if args.kind == "cnn" and args.region is None:
-        _usage("--kind cnn needs --region")
+    _check_train_tv_flags(args)
     _check_positive(args, "dim", "region")
     cfg = _train_config(args)
     _set_precision_flag(args)
@@ -451,7 +465,7 @@ def cmd_train_tv(args):
     dataset = corpus.Dataset(docs, 0, [])
     direction = "forward" if args.direction == "fwd" else "backward"
     spec = _checked(tv_mod.TvObjectiveSpec.build, vocab, target, args.k_next,
-                    args.neg, direction, args.region)
+                    args.neg, direction)
     name = Path(args.out).stem
     if args.kind == "lstm":
         emb, _ = tv_mod.train_tv_lstm(dataset, spec, args.dim, cfg, name=name,
@@ -488,8 +502,8 @@ def cmd_predict(args):
         raise DataError(f"{args.model}: model carries no vocabulary")
     token_docs = corpus.load_token_file(args.input, args.pretokenized)
     docs = [corpus.encode(toks, spec.vocab) for toks in token_docs]
-    for lo in range(0, len(docs), 512):
-        chunk = docs[lo:lo + 512]
+    for lo in range(0, len(docs), model_mod.SCORE_BLOCK):
+        chunk = docs[lo:lo + model_mod.SCORE_BLOCK]
         scores = model_mod.batch_scores(spec, chunk)
         for pred in np.argmax(scores, axis=0):
             print(spec.class_names[pred])

@@ -21,6 +21,8 @@ from .errors import DataError
 from .numkernel import ColumnGrad, RngSpec, gaussian_init, scatter_add_columns
 
 INIT_STD = 0.01
+# documents scored (and tv outputs computed) per batched pass in evaluation
+SCORE_BLOCK = 512
 
 
 @dataclass
@@ -200,22 +202,17 @@ def tv_ids_used(spec: ModelSpec) -> list:
     return seen
 
 
-def tv_outputs_for(spec: ModelSpec, doc) -> dict:
-    """Frozen-embedding outputs for one document, keyed by tv id."""
-    out = {}
-    for tv_id in tv_ids_used(spec):
-        emb = spec.tv_table.get(tv_id)
-        if emb is None:
-            raise DataError(f"model references unknown tv embedding {tv_id!r}")
-        out[tv_id] = tv_mod.apply_tv(emb, doc)
-    return out
-
-
 def tv_output_list(spec: ModelSpec, docs) -> list | None:
-    """Per-document tv outputs, or None when no branch has side channels."""
-    if not tv_ids_used(spec):
+    """Per-document frozen-embedding outputs keyed by tv id, or None when
+    no branch has side channels; one apply_tv call per embedding."""
+    tv_ids = tv_ids_used(spec)
+    if not tv_ids:
         return None
-    return [tv_outputs_for(spec, doc) for doc in docs]
+    for tv_id in tv_ids:
+        if tv_id not in spec.tv_table:
+            raise DataError(f"model references unknown tv embedding {tv_id!r}")
+    outs = [tv_mod.apply_tv(spec.tv_table[tv_id], docs) for tv_id in tv_ids]
+    return [dict(zip(tv_ids, doc_outs)) for doc_outs in zip(*outs)]
 
 
 def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
@@ -351,9 +348,7 @@ def model_forward(spec: ModelSpec, doc, mode: str = "eval", dropout=None,
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    tv_list = None
-    if tv_ids_used(spec):
-        tv_list = [tv_outs if tv_outs is not None else tv_outputs_for(spec, doc)]
+    tv_list = [tv_outs] if tv_outs is not None else tv_output_list(spec, [doc])
     P, _ = _pooled_forward(spec, [doc], tv_list,
                            chop_len if mode == "train" else None, 0)
     vec = P[:, 0]
@@ -401,7 +396,7 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     return loss, grads
 
 
-def confusion(spec: ModelSpec, dataset, tv_list=None, block: int = 512) -> np.ndarray:
+def confusion(spec: ModelSpec, dataset, tv_list=None) -> np.ndarray:
     """(true class, predicted class) document counts, scored in blocks."""
     docs = dataset.docs
     if not docs:
@@ -411,9 +406,9 @@ def confusion(spec: ModelSpec, dataset, tv_list=None, block: int = 512) -> np.nd
     if tv_list is None:
         tv_list = tv_output_list(spec, docs)
     counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
-    for lo in range(0, len(docs), block):
-        chunk = docs[lo:lo + block]
-        chunk_tv = tv_list[lo:lo + block] if tv_list is not None else None
+    for lo in range(0, len(docs), SCORE_BLOCK):
+        chunk = docs[lo:lo + SCORE_BLOCK]
+        chunk_tv = tv_list[lo:lo + SCORE_BLOCK] if tv_list is not None else None
         preds = np.argmax(batch_scores(spec, chunk, chunk_tv), axis=0)
         np.add.at(counts, ([d.label for d in chunk], preds), 1)
     return counts
@@ -425,6 +420,6 @@ def percent_wrong(counts: np.ndarray) -> float:
     return 100.0 * (total - int(np.trace(counts))) / total
 
 
-def error_rate(spec: ModelSpec, dataset, tv_list=None, block: int = 512) -> float:
+def error_rate(spec: ModelSpec, dataset, tv_list=None) -> float:
     """Percentage of misclassified documents."""
-    return percent_wrong(confusion(spec, dataset, tv_list, block))
+    return percent_wrong(confusion(spec, dataset, tv_list))

@@ -221,7 +221,7 @@ def grad_check(spec, doc, label, eps=1e-4, threshold=1e-4, max_coords=200, seed=
 
     if get_precision() != "float64":
         raise NumericError("grad_check requires the float64 precision mode")
-    tv_outs = model_mod.tv_outputs_for(spec, doc)
+    tv_outs = (model_mod.tv_output_list(spec, [doc]) or [None])[0]
     _, grads = model_mod.batch_forward_backward(spec, [doc], [label],
                                                 tv_list=[tv_outs])
 

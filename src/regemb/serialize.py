@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -69,47 +70,51 @@ class _Tensors(dict):
 
 def load_tensors(path):
     """Read the container; data is promoted to the active precision.
-    A tensor with a NaN or infinite entry, a repeated tensor name and bytes
-    after the last tensor are data errors."""
+    A tensor with a NaN or infinite entry, a repeated tensor name, a length
+    field that runs past the end of the file and bytes after the last
+    tensor are data errors.  Each tensor is read straight into its array,
+    so in float32 mode the loaded arrays are the only copy."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path}: not a {MAGIC.decode()} file")
-    try:
-        (version,) = struct.unpack_from("<I", raw, 4)
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported format version {version}")
-        (meta_len,) = struct.unpack_from("<I", raw, 8)
-        pos = 12
-        meta_text = bytes(view[pos:pos + meta_len]).decode("utf-8")
-        pos += meta_len
-        metadata = {}
-        for line in meta_text.splitlines():
-            key, _, value = line.partition("=")
-            metadata[key] = value
-        (n_tensors,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        tensors = _Tensors(path)
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            name = bytes(view[pos:pos + name_len]).decode("utf-8")
-            pos += name_len
-            if name in tensors:
-                raise DataError(f"{path}: duplicate tensor {name!r}")
-            rows, cols = struct.unpack_from("<QQ", raw, pos)
-            pos += 16
-            count = rows * cols
-            data = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-            pos += 4 * count
-            if not all_finite(data):
-                raise DataError(f"{path}: tensor {name!r} has non-finite values")
-            tensors[name] = data.reshape(rows, cols).astype(real_dtype())
-        if pos != len(raw):
-            raise DataError(f"{path}: {len(raw) - pos} bytes after the last tensor")
-    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: corrupt container ({exc})") from None
+        if fh.read(4) != MAGIC:
+            raise DataError(f"{path}: not a {MAGIC.decode()} file")
+        left = os.fstat(fh.fileno()).st_size - 4
+
+        def take(n):
+            """Claim the next n bytes; checked before anything is allocated."""
+            nonlocal left
+            if n > left:
+                raise DataError(f"{path}: corrupt container "
+                                f"({n} bytes wanted, {left} left)")
+            left -= n
+            return n
+
+        try:
+            (version,) = struct.unpack("<I", fh.read(take(4)))
+            if version != VERSION:
+                raise DataError(f"{path}: unsupported format version {version}")
+            (meta_len,) = struct.unpack("<I", fh.read(take(4)))
+            metadata = {}
+            for line in fh.read(take(meta_len)).decode("utf-8").splitlines():
+                key, _, value = line.partition("=")
+                metadata[key] = value
+            (n_tensors,) = struct.unpack("<I", fh.read(take(4)))
+            tensors = _Tensors(path)
+            for _ in range(n_tensors):
+                (name_len,) = struct.unpack("<I", fh.read(take(4)))
+                name = fh.read(take(name_len)).decode("utf-8")
+                if name in tensors:
+                    raise DataError(f"{path}: duplicate tensor {name!r}")
+                rows, cols = struct.unpack("<QQ", fh.read(take(16)))
+                take(4 * rows * cols)
+                data = np.empty((rows, cols), dtype="<f4")
+                fh.readinto(data)
+                if not all_finite(data):
+                    raise DataError(f"{path}: tensor {name!r} has non-finite values")
+                tensors[name] = data.astype(real_dtype(), copy=False)
+        except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: corrupt container ({exc})") from None
+    if left:
+        raise DataError(f"{path}: {left} bytes after the last tensor")
     return metadata, tensors
 
 

@@ -41,7 +41,6 @@ class TvObjectiveSpec:
     target_vocab: Vocabulary
     neg_samples: int
     direction: str = "forward"
-    region_size: int | None = None
     target_map: np.ndarray | None = None  # source word id -> target id, -1 if absent
     source_vocab_hash: str = ""
 
@@ -55,19 +54,20 @@ class TvObjectiveSpec:
 
     @classmethod
     def build(cls, source_vocab: Vocabulary, target_vocab: Vocabulary, k_next,
-              neg_samples, direction="forward", region_size=None):
+              neg_samples, direction="forward"):
         mapping = np.full(len(source_vocab), -1, dtype=np.int64)
         for tid, word in enumerate(target_vocab.words):
             sid = source_vocab.index.get(word)
             if sid is not None:
                 mapping[sid] = tid
-        return cls(k_next, target_vocab, neg_samples, direction, region_size,
-                   mapping, source_vocab.sha256())
+        return cls(k_next, target_vocab, neg_samples, direction, mapping,
+                   source_vocab.sha256())
 
 
 @dataclass
 class TvEmbedding:
-    """A frozen region-embedding function plus its alignment metadata."""
+    """A region-embedding function plus its alignment metadata; frozen once
+    trained."""
 
     kind: str  # "lstm" | "cnn"
     dim: int
@@ -97,11 +97,56 @@ class TvEmbedding:
             arr.flags.writeable = False
         return self
 
+    def outputs(self, ids_list, seg_len=None, overlap=0):
+        """Per-document (dim, T) outputs aligned to positions, plus the run
+        that `gradients` consumes.
+
+        LSTM form: h_t at every position, from one engine pass (read right
+        to left for backward embeddings; chopped when seg_len is set).  CNN
+        form: the output of the complete region starting at l lands at
+        position l + align_offset; uncovered positions are zero.
+        """
+        ids_list = [_ids(doc) for doc in ids_list]
+        if self.kind == "lstm":
+            return lstm_mod.batch_forward_docs(
+                self.lstm_params, ids_list, None, seg_len, overlap,
+                reverse=self.direction == "backward")
+        pres = [conv_mod.pre_activation(self.conv_params, ids) for ids in ids_list]
+        return [self._shift(relu(pre), True) for pre in pres], (ids_list, pres)
+
+    def gradients(self, run, upstreams) -> dict:
+        """Gradients of sum over documents of upstream . outputs, keyed like
+        `tensors()`; upstreams are (dim, T) per document, aligned like the
+        outputs."""
+        if self.kind == "lstm":
+            lg, _ = lstm_mod.batch_backward_docs(run, upstreams)
+            return dict(lstm_mod.gate_tensors(self.lstm_params, grads=lg))
+        ids_list, pres = run
+        cg = conv_mod.batch_backward_from_mask(
+            self.conv_params, ids_list, [pre > 0 for pre in pres],
+            [self._shift(up, False) for up in upstreams])
+        return {"w": cg.w, "b": cg.b}
+
+    def _shift(self, mat, to_output):
+        """The columns of complete regions moved from region start l to
+        output position l + align_offset (or back); other columns zero."""
+        n = max(mat.shape[1] - self.region_size + 1, 0)
+        starts, outputs = slice(0, n), slice(self.align_offset, self.align_offset + n)
+        out = np.zeros_like(mat)
+        out[:, outputs if to_output else starts] = mat[:, starts if to_output else outputs]
+        return out
+
+
+def _ids(ids_or_seq) -> np.ndarray:
+    if isinstance(ids_or_seq, TokenSequence):
+        return ids_or_seq.ids
+    return np.asarray(ids_or_seq, dtype=np.int64)
+
 
 def tv_targets(ids_or_seq, t: int, spec: TvObjectiveSpec) -> SparseVector:
     """Bow vector (over the target vocabulary) of the k words after position t
     (forward) or before it (backward); truncated at document bounds."""
-    ids = ids_or_seq.ids if isinstance(ids_or_seq, TokenSequence) else np.asarray(ids_or_seq)
+    ids = _ids(ids_or_seq)
     if not 0 <= t < len(ids):
         raise ValueError(f"position {t} out of range for length {len(ids)}")
     if spec.direction == "forward":
@@ -169,47 +214,47 @@ def weighted_square_loss(p: np.ndarray, z: SparseVector, weights: SparseVector):
 
 @dataclass
 class _DocTargets:
-    positions: np.ndarray  # (n_pos,) time steps / region starts with targets
+    positions: np.ndarray  # (n_pos,) output positions with targets
     counts: np.ndarray  # positives per position
     flat_ids: np.ndarray  # concatenated target ids
     flat_vals: np.ndarray  # their bow counts
 
 
-def _collect_targets(ids, spec: TvObjectiveSpec, region_size=None):
-    """Per-position targets; positions with an empty target are skipped."""
-    mapped = spec.target_map[ids]
-    total = len(ids)
-    positions, counts, flat_ids, flat_vals = [], [], [], []
-    if region_size is None:
-        spots = range(total)
+def _collect_targets(id_arrays, spec: TvObjectiveSpec, emb: TvEmbedding) -> list:
+    """Per-document targets at the embedding's output positions (None for a
+    document without any; positions with an empty target are skipped).  The
+    CNN form predicts the k words on each side of the region starting at l,
+    whose output lands at l + align_offset.  The windows of all documents,
+    each padded with k absent (-1) ids on both sides, are gathered at once,
+    and one np.unique counts every row * dim + id key."""
+    k = spec.k_next
+    if emb.kind == "lstm":
+        offsets = np.arange(1, k + 1) if spec.direction == "forward" \
+            else np.arange(-k, 0)
+        shift = 0
     else:
-        spots = range(total - region_size + 1)
-    for t in spots:
-        if region_size is None:
-            if spec.direction == "forward":
-                window = mapped[t + 1:t + 1 + spec.k_next]
-            else:
-                window = mapped[max(0, t - spec.k_next):t]
-        else:
-            left = mapped[max(0, t - spec.k_next):t]
-            right = mapped[t + region_size:t + region_size + spec.k_next]
-            window = np.concatenate([left, right])
-        window = window[window >= 0]
-        if window.size == 0:
-            continue
-        uniq, cnt = np.unique(window, return_counts=True)
-        positions.append(t)
-        counts.append(uniq.size)
-        flat_ids.append(uniq)
-        flat_vals.append(cnt)
-    if not positions:
-        return None
-    return _DocTargets(
-        np.array(positions, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-        np.concatenate(flat_ids),
-        np.concatenate(flat_vals).astype(float),
-    )
+        size = emb.region_size
+        offsets = np.concatenate([np.arange(-k, 0), np.arange(size, size + k)])
+        shift = size - 1  # region starts stop this far before the end
+    totals = np.array([len(ids) for ids in id_arrays], dtype=np.int64)
+    n_spots = np.maximum(totals - shift, 0)
+    row_lo = np.concatenate([[0], np.cumsum(n_spots)])  # each document's first row
+    spot = np.arange(row_lo[-1]) - np.repeat(row_lo[:-1], n_spots)
+    pad = np.full(k, -1, dtype=np.int64)
+    padded = np.concatenate([pad, *(part for ids in id_arrays
+                                    for part in (spec.target_map[ids], pad))])
+    starts = np.cumsum(totals + k) - totals  # where each document's ids begin
+    window = padded[(np.repeat(starts, n_spots) + spot)[:, None] + offsets]
+    present = window >= 0
+    dim = len(spec.target_vocab)
+    keys, counts = np.unique(np.nonzero(present)[0] * dim + window[present],
+                             return_counts=True)
+    rows, per_row = np.unique(keys // dim, return_counts=True)
+    rb, kb = np.searchsorted(rows, row_lo), np.searchsorted(keys, row_lo * dim)
+    return [_DocTargets(spot[rows[r0:r1]] + emb.align_offset, per_row[r0:r1],
+                        keys[k0:k1] % dim, counts[k0:k1].astype(float))
+            if r1 > r0 else None
+            for r0, r1, k0, k1 in zip(rb[:-1], rb[1:], kb[:-1], kb[1:])]
 
 
 def _sample_negatives_flat(pos_keys_sorted, n_pos, dim, neg, gen):
@@ -276,42 +321,47 @@ class _Head:
         return dw, db, dh_all
 
 
-def _batches(n, size):
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _train(emb: TvEmbedding, unlabeled, spec: TvObjectiveSpec, cfg: TrainConfig,
+           log_fn):
+    """Train an embedding on the objective of `spec`; freeze it.
 
-
-def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
-                   backward_fn, param_tensors, dtype, log_fn):
-    """Shared epoch loop for both embedding forms.
-
-    forward_fn(doc_indices, targets) -> (h columns for all target positions,
-    state); backward_fn(state, dh columns) -> parameter gradient dict keyed
-    like param_tensors.  Epoch 0 is an evaluation-only pass recording the
-    objective before any update.
+    Returns the frozen embedding and the per-epoch loss log; epoch 0 is an
+    evaluation-only pass recording the objective before any update.
     """
-    rng = RngSpec(cfg.seed)
-    head = _Head(target_dim, dim, rng.stream("init", 999), dtype)
-    updater = Updater(cfg)
-    logs = []
+    id_arrays = [doc.ids for doc in unlabeled.docs]
+    if not id_arrays:
+        raise DataError("unlabeled corpus is empty")
+    doc_targets = _collect_targets(id_arrays, spec, emb)
     kept = [i for i, tgt in enumerate(doc_targets) if tgt is not None]
     if not kept:
         raise DataError("no training positions: every document has empty targets")
+    tensors = dict(emb.tensors())
+    dtype = next(iter(tensors.values())).dtype
+    target_dim = len(spec.target_vocab)
+    rng = RngSpec(cfg.seed)
+    head = _Head(target_dim, emb.dim, rng.stream("init", 999), dtype)
+    updater = Updater(cfg)
+    logs = []
     for epoch in range(0, cfg.epochs + 1):
         started = time.perf_counter()
         update = epoch > 0
-        if update:
-            order = rng.stream("shuffle", epoch).permutation(len(kept))
-        else:
-            order = np.arange(len(kept))
+        order = rng.stream("shuffle", epoch).permutation(len(kept)) if update \
+            else np.arange(len(kept))
         sample_gen = rng.stream("sampling", epoch)
         loss_sum = 0.0
         pos_total = 0
-        for batch_no, batch in enumerate(_batches(len(kept), cfg.minibatch)):
-            doc_idx = [kept[order[i]] for i in batch]
+        for batch_no, lo in enumerate(range(0, len(kept), cfg.minibatch)):
+            doc_idx = [kept[i] for i in order[lo:lo + cfg.minibatch]]
             targets_batch = [doc_targets[i] for i in doc_idx]
-            h_all, state = forward_fn(doc_idx, targets_batch)
+            h_docs, run = emb.outputs([id_arrays[i] for i in doc_idx],
+                                      cfg.chop_len, cfg.chop_overlap)
+            # the target positions as columns of the documents side by side
+            offsets = np.cumsum([0] + [h.shape[1] for h in h_docs])
+            cols = np.concatenate([off + tgt.positions
+                                   for off, tgt in zip(offsets, targets_batch)])
+            h_all = np.concatenate(h_docs, axis=1)[:, cols]
             coords, rows, zvals, n_pos = _head_terms(targets_batch, target_dim,
-                                                     neg_samples, sample_gen)
+                                                     spec.neg_samples, sample_gen)
             pvals = head.forward(h_all, coords, rows)
             diff = pvals - zvals
             loss = float(np.sum(diff * diff))
@@ -322,10 +372,12 @@ def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
                 continue
             dp = (2.0 / n_pos) * diff
             dw, db, dh_all = head.backward(h_all, coords, rows, dp)
-            grads = backward_fn(state, dh_all)
+            up = np.zeros((emb.dim, offsets[-1]), dtype=dtype)
+            up[:, cols] = dh_all
+            grads = emb.gradients(run, np.split(up, offsets[1:-1], axis=1))
             grads["head.w"] = dw
             grads["head.b"] = db
-            for name, param in {**param_tensors, "head.w": head.w,
+            for name, param in {**tensors, "head.w": head.w,
                                 "head.b": head.b}.items():
                 updater.apply(name, param, grads[name])
         entry = EpochLog(epoch, loss_sum / pos_total, float("nan"),
@@ -333,128 +385,55 @@ def _tv_train_loop(doc_targets, dim, target_dim, neg_samples, cfg, forward_fn,
         logs.append(entry)
         if log_fn is not None:
             log_fn(entry.line())
-    check_params(param_tensors.items(), cfg.epochs)
-    return logs
+    check_params(tensors.items(), cfg.epochs)
+    return emb.freeze(), logs
 
 
 def train_tv_lstm(unlabeled, spec: TvObjectiveSpec, dim: int, cfg: TrainConfig,
                   name: str = "tv-lstm", log_fn=None):
-    """Train a full-variant one-hot LSTM to predict nearby words; freeze it.
+    """Train a full-variant one-hot LSTM to predict nearby words (the next k
+    for a forward embedding, the previous k for a backward one); freeze it.
 
     Returns the frozen embedding and the per-epoch loss log; the epoch-0
     entry records the objective value before any update.
     """
-    docs = list(unlabeled.docs)
-    if not docs:
-        raise DataError("unlabeled corpus is empty")
-    vocab_size = len(spec.target_map)
-    rng = RngSpec(cfg.seed)
-    params = lstm_mod.LstmParams.create("full", dim, vocab_size, "one-hot",
-                                        rng.stream("init"))
-    doc_targets = [_collect_targets(d.ids, spec) for d in docs]
-
-    reverse = spec.direction == "backward"
-
-    def forward_fn(doc_idx, targets_batch):
-        h_docs, run = lstm_mod.batch_forward_docs(
-            params, [docs[i].ids for i in doc_idx], None, cfg.chop_len,
-            cfg.chop_overlap, reverse=reverse)
-        cols = [h[:, tgt.positions] for h, tgt in zip(h_docs, targets_batch)]
-        return np.concatenate(cols, axis=1), (run, doc_idx, targets_batch)
-
-    def backward_fn(state, dh_all):
-        run, doc_idx, targets_batch = state
-        ups = []
-        col = 0
-        for i, tgt in zip(doc_idx, targets_batch):
-            up = np.zeros((dim, len(docs[i].ids)), dtype=params.dtype)
-            up[:, tgt.positions] = dh_all[:, col:col + tgt.positions.size]
-            col += tgt.positions.size
-            ups.append(up)
-        lg, _ = lstm_mod.batch_backward_docs(run, ups)
-        return dict(lstm_mod.gate_tensors(params, grads=lg))
-
-    tensors = dict(lstm_mod.gate_tensors(params))
-    logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),
-                          spec.neg_samples, cfg, forward_fn, backward_fn,
-                          tensors, params.dtype, log_fn)
+    params = lstm_mod.LstmParams.create("full", dim, len(spec.target_map),
+                                        "one-hot", RngSpec(cfg.seed).stream("init"))
     emb = TvEmbedding(
         kind="lstm", dim=dim, name=name, lstm_params=params,
         direction=spec.direction, align_offset=0,
         target_vocab_hash=spec.target_vocab.sha256(),
         source_vocab_hash=spec.source_vocab_hash,
-    ).freeze()
-    return emb, logs
+    )
+    return _train(emb, unlabeled, spec, cfg, log_fn)
 
 
 def train_tv_cnn(unlabeled, region_size: int, dim: int, spec: TvObjectiveSpec,
                  cfg: TrainConfig, input_kind: str = "bow", name: str = "tv-cnn",
                  log_fn=None):
-    """Train a convolutional region embedding to predict surrounding context."""
-    docs = list(unlabeled.docs)
-    if not docs:
-        raise DataError("unlabeled corpus is empty")
-    vocab_size = len(spec.target_map)
-    rng = RngSpec(cfg.seed)
-    params = conv_mod.ConvParams.create(dim, region_size, input_kind, vocab_size,
-                                        rng.stream("init"))
-    doc_targets = [_collect_targets(d.ids, spec, region_size=region_size)
-                   for d in docs]
-
-    def forward_fn(doc_idx, targets_batch):
-        pres, cols = [], []
-        for i, tgt in zip(doc_idx, targets_batch):
-            pre = conv_mod.pre_activation(params, docs[i].ids)
-            pres.append(pre)
-            cols.append(relu(pre[:, tgt.positions]))
-        return np.concatenate(cols, axis=1), (pres, doc_idx, targets_batch)
-
-    def backward_fn(state, dh_all):
-        pres, doc_idx, targets_batch = state
-        ups = []
-        col = 0
-        for pre, tgt in zip(pres, targets_batch):
-            up = np.zeros_like(pre)
-            up[:, tgt.positions] = dh_all[:, col:col + tgt.positions.size]
-            col += tgt.positions.size
-            ups.append(up)
-        cg = conv_mod.batch_backward_from_mask(
-            params, [docs[i].ids for i in doc_idx], [pre > 0 for pre in pres], ups)
-        return {"w": cg.w, "b": cg.b}
-
-    tensors = {"w": params.w, "b": params.b}
-    logs = _tv_train_loop(doc_targets, dim, len(spec.target_vocab),
-                          spec.neg_samples, cfg, forward_fn, backward_fn,
-                          tensors, params.dtype, log_fn)
+    """Train a convolutional region embedding to predict the k words on
+    each side of its region; freeze it."""
+    params = conv_mod.ConvParams.create(dim, region_size, input_kind,
+                                        len(spec.target_map),
+                                        RngSpec(cfg.seed).stream("init"))
     emb = TvEmbedding(
         kind="cnn", dim=dim, name=name, conv_params=params,
         region_size=region_size, align_offset=(region_size - 1) // 2,
         target_vocab_hash=spec.target_vocab.sha256(),
         source_vocab_hash=spec.source_vocab_hash,
-    ).freeze()
-    return emb, logs
+    )
+    return _train(emb, unlabeled, spec, cfg, log_fn)
 
 
-def apply_tv(emb: TvEmbedding, ids_or_seq) -> np.ndarray:
-    """Frozen embedding outputs aligned to document positions: (dim, T).
+def apply_tv(emb: TvEmbedding, docs) -> list:
+    """Frozen embedding outputs for many documents: per document (dim, T),
+    aligned to positions as in `TvEmbedding.outputs`.  The documents go to
+    the engine in blocks of model.SCORE_BLOCK."""
+    from .model import SCORE_BLOCK
 
-    LSTM form: h_t at every position (computed right-to-left for backward
-    embeddings).  CNN form: the output of the complete region starting at l
-    lands at position l + align_offset; uncovered positions are zero.
-    """
-    ids = ids_or_seq.ids if isinstance(ids_or_seq, TokenSequence) else \
-        np.asarray(ids_or_seq, dtype=np.int64)
-    if emb.kind == "lstm":
-        return lstm_mod.forward_sequence(emb.lstm_params, ids,
-                                         reverse=emb.direction == "backward")
-    total = len(ids)
-    out = np.zeros((emb.dim, total), dtype=emb.conv_params.dtype)
-    size = emb.region_size
-    if total >= size:
-        n_regions = total - size + 1
-        pre = conv_mod.pre_activation(emb.conv_params, ids)[:, :n_regions]
-        out[:, emb.align_offset:emb.align_offset + n_regions] = relu(pre)
-    return out
+    docs = list(docs)
+    return [out for lo in range(0, len(docs), SCORE_BLOCK)
+            for out in emb.outputs(docs[lo:lo + SCORE_BLOCK])[0]]
 
 
 def attach(params, emb_list, rng) -> None:

@@ -357,8 +357,7 @@ def semi_supervised_runs():
             emb, _ = train_tv_lstm(unlabeled, objective, dim=50, cfg=lstm_cfg,
                                    name=f"tvL-{direction[0]}")
             lstm_tvs.append(emb)
-        objective = TvObjectiveSpec.build(vocab, target, k_next=5, neg_samples=5,
-                                          region_size=5)
+        objective = TvObjectiveSpec.build(vocab, target, k_next=5, neg_samples=5)
         cnn_tv, _ = train_tv_cnn(unlabeled, 5, 50, objective, cnn_cfg,
                                  input_kind="bow", name="tvC")
 

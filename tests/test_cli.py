@@ -444,6 +444,32 @@ class TestFlagValues:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    # flags that change nothing for the embedding kind they are given with
+    IGNORED_BY_KIND = [
+        ("cnn", ["--chop", "4"], "--chop"),
+        ("cnn", ["--chop", "4", "--overlap", "2"], "--chop"),
+        ("cnn", ["--overlap", "2"], "--overlap"),
+        ("cnn", ["--direction", "bwd"], "--direction bwd"),
+        ("lstm", ["--region", "3"], "--region"),
+        ("lstm", ["--input-kind", "seq"], "--input-kind seq"),
+    ]
+
+    @pytest.mark.parametrize("kind,flags,named", IGNORED_BY_KIND,
+                             ids=[f"{k}{' '.join(f)}" for k, f, _ in IGNORED_BY_KIND])
+    def test_train_tv_refuses_flags_of_the_other_kind(self, corpus_files, capsys,
+                                                      kind, flags, named):
+        vocab = _vocab(corpus_files, capsys)
+        out = corpus_files / "out.tv"
+        region = ["--region", "3"] if kind == "cnn" else []
+        code, _, err = run(
+            capsys, "train-tv", "--kind", kind, *region, *flags, "--dim", "2",
+            "--vocab", vocab, "--target-vocab", vocab,
+            "--unlabeled", str(corpus_files / "train.txt"),
+            "--out", str(out), "--epochs", "1")
+        assert code == 1, err
+        assert f"{named} does not apply to --kind {kind}" in err
+        assert not out.exists()
+
     def test_train_tv_refuses_dropout(self, corpus_files, capsys):
         vocab = _vocab(corpus_files, capsys)
         out = corpus_files / "out.tv"

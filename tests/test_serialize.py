@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestContainer:
         with pytest.raises(DataError, match="version"):
             load_tensors(path)
 
+    def test_float32_load_holds_one_copy(self, tmp_path):
+        path = tmp_path / "big.rgem"
+        with precision("float32"):
+            save_tensors(path, {"format": "raw"},
+                         [("m", np.ones((512, 2048), dtype=np.float32))])
+            tracemalloc.start()
+            try:
+                _, tensors = load_tensors(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert tensors["m"].dtype == np.float32
+        assert peak < 1.25 * path.stat().st_size
+
     def test_truncated_file_is_data_error(self, tmp_path):
         path = tmp_path / "cut.rgem"
         with precision("float32"):
@@ -159,6 +174,15 @@ def _n_tensors_plus(delta):
     return edit
 
 
+def _first_rows(value):
+    def edit(raw):
+        _, records = _layout(raw)
+        (name_len,) = struct.unpack_from("<I", raw, records[0][0])
+        at = records[0][0] + 4 + name_len
+        return raw[:at] + struct.pack("<Q", value) + raw[at + 8:]
+    return edit
+
+
 def _meta_len_plus(delta):
     def edit(raw):
         return _put_u32(raw, 8, struct.unpack_from("<I", raw, 8)[0] + delta)
@@ -178,6 +202,10 @@ CORRUPTIONS = [
     ("n_tensors", lambda raw: [_n_tensors_plus(d)(raw) for d in (-1, 1, -100, 2**31)],
      None),
     ("truncation", lambda raw: [raw[:cut] for cut in range(len(raw))], None),
+    # a row count whose data would run past the end of the file is refused
+    # before anything is allocated
+    ("tensor size", lambda raw: [_first_rows(v)(raw) for v in (2**20, 2**40, 2**63)],
+     "bytes wanted"),
 ]
 
 
@@ -212,8 +240,8 @@ class TestTvFiles:
             assert loaded.align_offset == emb.align_offset
             assert loaded.target_vocab_hash == emb.target_vocab_hash
             ids = np.array([0, 3, 1, 5, 2])
-            np.testing.assert_array_equal(tv_mod.apply_tv(loaded, ids),
-                                          tv_mod.apply_tv(emb, ids))
+            np.testing.assert_array_equal(tv_mod.apply_tv(loaded, [ids])[0],
+                                          tv_mod.apply_tv(emb, [ids])[0])
 
     def test_loaded_tv_is_frozen(self, tmp_path):
         with precision("float32"):

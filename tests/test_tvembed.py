@@ -5,11 +5,12 @@ from regemb import conv as conv_mod
 from regemb import lstm as lstm_mod
 from regemb.corpus import Dataset, StopwordList, TokenSequence, Vocabulary, target_vocab
 from regemb.errors import DataError
-from regemb.numkernel import RngSpec, SparseVector
+from regemb.numkernel import RngSpec, SparseVector, precision
 from regemb.optim import TrainConfig
 from regemb.tvembed import (
     TvEmbedding,
     TvObjectiveSpec,
+    _collect_targets,
     _sample_negatives_flat,
     apply_tv,
     attach,
@@ -218,8 +219,7 @@ class TestTrainTvCnn:
     def test_context_objective_drops(self):
         ds = successor_corpus()
         vocab = full_vocab(10)
-        spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=3,
-                                     region_size=3)
+        spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=3)
         cfg = TrainConfig(lr=0.3, momentum=0.9, minibatch=20, epochs=10,
                           dropout_rate=0.0, seed=1)
         emb, logs = train_tv_cnn(ds, 3, 10, spec, cfg, input_kind="bow")
@@ -231,8 +231,7 @@ class TestTrainTvCnn:
         ds = successor_corpus(n_docs=30)
         vocab = full_vocab(10)
         for region, offset in ((5, 2), (20, 9), (1, 0), (4, 1)):
-            spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=2,
-                                         region_size=region)
+            spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=2)
             if region > 12:
                 continue  # longer than every document: no training regions
             cfg = TrainConfig(lr=0.1, minibatch=10, epochs=0, dropout_rate=0.0)
@@ -259,20 +258,20 @@ class TestApplyTv:
     def test_lstm_forward_matches_forward_sequence(self):
         emb = self._lstm_emb()
         ids = np.array([0, 3, 2, 5])
-        np.testing.assert_array_equal(apply_tv(emb, ids),
+        np.testing.assert_array_equal(apply_tv(emb, [ids])[0],
                                       lstm_mod.forward_sequence(emb.lstm_params, ids))
 
     def test_lstm_backward_reindexed(self):
         emb = self._lstm_emb(direction="backward")
         ids = np.array([0, 3, 2, 5])
         want = lstm_mod.forward_sequence(emb.lstm_params, ids[::-1])[:, ::-1]
-        np.testing.assert_array_equal(apply_tv(emb, ids), want)
+        np.testing.assert_array_equal(apply_tv(emb, [ids])[0], want)
 
     def test_cnn_center_alignment(self):
         # region of words 0..4 lands on position 2
         emb = self._cnn_emb(region=5)
         ids = np.arange(6) % 6
-        out = apply_tv(emb, ids)
+        out = apply_tv(emb, [ids])[0]
         assert out.shape == (3, 6)
         np.testing.assert_array_equal(out[:, :2], np.zeros((3, 2)))
         np.testing.assert_array_equal(out[:, 4:], np.zeros((3, 2)))
@@ -282,13 +281,13 @@ class TestApplyTv:
     def test_region_one_is_positionwise(self):
         emb = self._cnn_emb(region=1)
         ids = np.array([1, 4, 0])
-        out = apply_tv(emb, ids)
+        out = apply_tv(emb, [ids])[0]
         full = conv_mod.conv_forward(emb.conv_params, ids)
         np.testing.assert_array_equal(out, full)
 
     def test_short_doc_all_zero(self):
         emb = self._cnn_emb(region=5)
-        out = apply_tv(emb, np.array([1, 2, 3]))
+        out = apply_tv(emb, [np.array([1, 2, 3])])[0]
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
     def test_cnn_shift_property(self):
@@ -296,8 +295,8 @@ class TestApplyTv:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 6, size=9)
         shifted = np.concatenate([[2], ids])
-        a = apply_tv(emb, ids)
-        b = apply_tv(emb, shifted)
+        a = apply_tv(emb, [ids])[0]
+        b = apply_tv(emb, [shifted])[0]
         # interior columns move right by one
         np.testing.assert_array_equal(b[:, 2:9], a[:, 1:8])
 
@@ -313,7 +312,7 @@ class TestAttach:
         for sp in params.side:
             sp.w[:] = 0.0
         ids = np.array([0, 2, 4, 1])
-        side = [apply_tv(emb, ids)]
+        side = [apply_tv(emb, [ids])[0]]
         with_side = lstm_mod.forward_sequence(params, ids, side_seq=side)
         without = lstm_mod.forward_sequence(base, ids)
         np.testing.assert_array_equal(with_side, without)
@@ -358,7 +357,7 @@ class TestAttach:
         attach(params, embs, rng)
         assert [sp.tv_id for sp in params.side] == [e.name for e in embs]
         ids = np.arange(8) % 6
-        side = [apply_tv(e, ids) for e in embs]
+        side = [apply_tv(e, [ids])[0] for e in embs]
         h = lstm_mod.forward_sequence(params, ids, side_seq=side)
         assert h.shape == (3, 8)
 
@@ -397,7 +396,7 @@ class TestAttach:
         emb = TestApplyTv()._cnn_emb(seed=6, vocab=5, region=1)
         attach(params, [emb], rng)
         ids = np.array([0, 4, 2, 1])
-        sv = [apply_tv(emb, ids)]
+        sv = [apply_tv(emb, [ids])[0]]
         pre1 = conv_mod.pre_activation(params, ids, sv)
         saved = params.side[0].w.copy()
         params.side[0].w[:] = 0.0
@@ -405,3 +404,182 @@ class TestAttach:
         params.side[0].w[:] = 2.0 * saved
         pre2 = conv_mod.pre_activation(params, ids, sv)
         np.testing.assert_allclose(pre2 - pre0, 2.0 * (pre1 - pre0), rtol=1e-12)
+
+
+def _bare_emb(kind, region=None, direction="forward"):
+    """Alignment metadata only: all that target collection reads."""
+    if kind == "lstm":
+        return TvEmbedding(kind="lstm", dim=2, name="L", direction=direction)
+    return TvEmbedding(kind="cnn", dim=2, name="C", region_size=region,
+                       align_offset=(region - 1) // 2)
+
+
+def _reference_targets(ids, spec, emb):
+    """Per-position targets, one window at a time: tv_targets for the LSTM
+    form; for the CNN form, the k words on each side of the region starting
+    at l, placed at l + align_offset."""
+    found = []
+    if emb.kind == "lstm":
+        for t in range(len(ids)):
+            z = tv_targets(ids, t, spec)
+            found.append((t, z.indices, z.values))
+    else:
+        k, size = spec.k_next, emb.region_size
+        for start in range(len(ids) - size + 1):
+            window = np.concatenate([ids[max(0, start - k):start],
+                                     ids[start + size:start + size + k]])
+            mapped = spec.target_map[window]
+            uniq, counts = np.unique(mapped[mapped >= 0], return_counts=True)
+            found.append((start + emb.align_offset, uniq, counts))
+    found = [(t, i, v) for t, i, v in found if len(i)]
+    if not found:
+        return None
+    return (np.array([t for t, _, _ in found], dtype=np.int64),
+            np.array([len(i) for _, i, _ in found], dtype=np.int64),
+            np.concatenate([i for _, i, _ in found]).astype(np.int64),
+            np.concatenate([v for _, _, v in found]).astype(float))
+
+
+class TestCollectTargets:
+    # lengths 0-2 and shorter than every region, among longer documents
+    LENGTHS = (7, 0, 1, 2, 12, 3, 0, 9)
+
+    def _case(self, k):
+        source = full_vocab(9)
+        target = Vocabulary(["w0", "w2", "w3", "w5", "w6", "w8"])  # others map to -1
+        spec = TvObjectiveSpec.build(source, target, k_next=k, neg_samples=2)
+        rng = np.random.default_rng(k)
+        docs = [rng.integers(0, 9, size=n) for n in self.LENGTHS]
+        return spec, docs
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("kind,region,direction", [
+        ("lstm", None, "forward"), ("lstm", None, "backward"),
+        ("cnn", 1, "forward"), ("cnn", 3, "forward"), ("cnn", 5, "forward"),
+        ("cnn", 4, "backward"),
+    ])
+    def test_matches_window_by_window(self, k, kind, region, direction):
+        spec, docs = self._case(k)
+        spec.direction = direction
+        emb = _bare_emb(kind, region, direction)
+        got = _collect_targets(docs, spec, emb)
+        assert len(got) == len(docs)
+        assert got[1] is None and got[6] is None  # empty documents
+        for ids, tgt in zip(docs, got):
+            want = _reference_targets(ids, spec, emb)
+            if want is None:
+                assert tgt is None
+                continue
+            for have, expect in zip((tgt.positions, tgt.counts, tgt.flat_ids,
+                                     tgt.flat_vals), want):
+                assert have.dtype == expect.dtype
+                np.testing.assert_array_equal(have, expect)
+
+    def test_no_documents(self):
+        spec, _ = self._case(2)
+        assert _collect_targets([], spec, _bare_emb("lstm")) == []
+
+
+def _emb(kind, seed, std=0.5, direction="forward", region=3, input_kind="bow",
+         dim=3, vocab=7):
+    gen = RngSpec(seed).stream("init")
+    if kind == "lstm":
+        params = lstm_mod.LstmParams.create("full", dim, vocab, "one-hot", gen,
+                                            std=std)
+        return TvEmbedding(kind="lstm", dim=dim, name="L", lstm_params=params,
+                           direction=direction)
+    params = conv_mod.ConvParams.create(dim, region, input_kind, vocab, gen,
+                                        std=std)
+    params.b += 0.1  # most pre-activations positive, none near the relu kink
+    return TvEmbedding(kind="cnn", dim=dim, name="C", conv_params=params,
+                       region_size=region, align_offset=(region - 1) // 2)
+
+
+EMBEDDINGS = [("lstm", "forward", 3, "bow"), ("lstm", "backward", 3, "bow"),
+              ("cnn", "forward", 3, "seq"), ("cnn", "forward", 4, "bow"),
+              ("cnn", "forward", 5, "seq")]
+EMB_IDS = [f"{k}-{d}-{r}-{i}" for k, d, r, i in EMBEDDINGS]
+
+
+class TestApplyTvBatched:
+    @pytest.mark.parametrize("kind,direction,region,input_kind", EMBEDDINGS,
+                             ids=EMB_IDS)
+    def test_list_matches_one_document_calls(self, kind, direction, region,
+                                             input_kind):
+        with precision("float64"):
+            emb = _emb(kind, 3, direction=direction, region=region,
+                       input_kind=input_kind).freeze()
+            rng = np.random.default_rng(4)
+            docs = [rng.integers(0, 7, size=n) for n in (6, 0, 2, 11, 1, 4, 9)]
+            batched = apply_tv(emb, docs)
+            assert len(batched) == len(docs)
+            for ids, out in zip(docs, batched):
+                alone = apply_tv(emb, [ids])[0]
+                assert out.shape == alone.shape == (emb.dim, len(ids))
+                np.testing.assert_allclose(out, alone, rtol=1e-12, atol=0)
+
+    def test_more_documents_than_one_block(self, monkeypatch):
+        import regemb.model as model_mod
+
+        monkeypatch.setattr(model_mod, "SCORE_BLOCK", 3)
+        with precision("float64"):
+            emb = _emb("lstm", 5).freeze()
+            rng = np.random.default_rng(6)
+            docs = [rng.integers(0, 7, size=n) for n in (4, 2, 5, 3, 0, 6, 1)]
+            for ids, out in zip(docs, apply_tv(emb, docs)):
+                np.testing.assert_allclose(out, apply_tv(emb, [ids])[0],
+                                           rtol=1e-12, atol=0)
+
+
+class TestTvEmbeddingGradients:
+    @pytest.mark.parametrize("kind,direction,region,input_kind,seg_len,overlap", [
+        (*e, None, 0) for e in EMBEDDINGS] + [("lstm", "backward", 3, "bow", 3, 1)],
+        ids=EMB_IDS + ["lstm-backward-chop3-overlap1"])
+    def test_matches_central_differences(self, kind, direction, region, input_kind,
+                                         seg_len, overlap):
+        with precision("float64"):
+            emb = _emb(kind, 8, direction=direction, region=region,
+                       input_kind=input_kind)
+            rng = np.random.default_rng(9)
+            docs = [rng.integers(0, 7, size=n) for n in (7, 2, 0, 5)]
+            ups = [rng.standard_normal((emb.dim, len(ids))) for ids in docs]
+
+            def objective():
+                outs, _ = emb.outputs(docs, seg_len, overlap)
+                return sum(float(np.sum(u * h)) for u, h in zip(ups, outs))
+
+            _, run = emb.outputs(docs, seg_len, overlap)
+            grads = emb.gradients(run, ups)
+            tensors = dict(emb.tensors())
+            assert list(grads) == list(tensors)
+            eps = 1e-6
+            for name, param in tensors.items():
+                analytic = np.asarray(grads[name]).reshape(param.shape)
+                flat = param.reshape(-1)  # a view: the rows of a stacked tensor
+                numeric = np.zeros(flat.size)
+                for c in range(flat.size):
+                    orig = flat[c]
+                    flat[c] = orig + eps
+                    up = objective()
+                    flat[c] = orig - eps
+                    down = objective()
+                    flat[c] = orig
+                    numeric[c] = (up - down) / (2 * eps)
+                np.testing.assert_allclose(analytic.reshape(-1), numeric,
+                                           rtol=1e-5, atol=1e-7, err_msg=name)
+
+    def test_cnn_upstream_outside_regions_is_ignored(self):
+        # positions no complete region lands on carry no output, so their
+        # upstream changes no gradient
+        with precision("float64"):
+            emb = _emb("cnn", 10, region=5, input_kind="seq")
+            ids = np.array([1, 4, 2, 6, 0, 3, 5])
+            _, run = emb.outputs([ids])
+            up = np.random.default_rng(11).standard_normal((emb.dim, len(ids)))
+            grads = emb.gradients(run, [up])
+            up[:, :2] = 7.0
+            up[:, 5:] = -7.0
+            moved = emb.gradients(run, [up])
+            for name in grads:
+                np.testing.assert_array_equal(np.asarray(moved[name]),
+                                              np.asarray(grads[name]))
