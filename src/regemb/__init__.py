@@ -29,7 +29,7 @@ from .lstm import (
     lstm_step,
     sequence_gradients,
 )
-from .conv import ConvParams, conv_forward, conv_gradients
+from .conv import ConvParams, conv_forward
 from .model import (
     ConvBranch,
     LstmBranch,

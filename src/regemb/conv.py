@@ -5,17 +5,31 @@ the concatenation of the region's one-hot vectors (seq input, order kept)
 or the region's bag-of-words count vector (bow input).  Output is produced
 at every token position (stride 1) with zero padding past the right edge,
 so columns align index-for-index with LSTM time steps.
+
+Documents are processed by one batched engine: a minibatch's documents lie
+side by side as the columns of one matrix, and region offset o of the
+location at position p reads position p + o only while that stays inside
+p's document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import TokenSequence
+from .corpus import as_ids
 from .lstm import SideInputParams
-from .numkernel import ColumnGrad, RngSpec, gaussian_init, relu, scatter_add_columns
+from .numkernel import (
+    ColumnGrad,
+    RngSpec,
+    by_doc,
+    gaussian_init,
+    mapped_empty,
+    scatter_add_columns,
+    side_by_side,
+)
 
 INIT_STD = 0.01
 
@@ -59,100 +73,102 @@ class ConvParams:
         )
 
 
-@dataclass
-class ConvGrads:
+class ConvGrads(NamedTuple):
     w: ColumnGrad  # only the columns of the region's words are nonzero
     b: np.ndarray
     side: list  # per side channel, (maps, dim)
 
 
-def _offset_weights(params, offset):
-    if params.input_kind == "bow":
-        return params.w
-    v = params.vocab_size
-    return params.w[:, offset * v:(offset + 1) * v]
+@dataclass
+class _ConvRun:
+    params: ConvParams
+    totals: list  # per document length
+    ids: np.ndarray  # (N,) word ids of the documents side by side
+    side_values: list  # per side channel, (dim, N)
+    h: np.ndarray  # (maps, N) outputs; h > 0 is the relu mask
 
 
-def _as_ids(ids_or_seq):
-    if isinstance(ids_or_seq, TokenSequence):
-        return ids_or_seq.ids
-    return np.asarray(ids_or_seq, dtype=np.int64)
+def _room(totals) -> np.ndarray:
+    """Per position, the positions left in its document from it on."""
+    totals = np.asarray(totals, dtype=np.int64)
+    return np.repeat(np.cumsum(totals), totals) - np.arange(totals.sum())
 
 
-def pre_activation(params: ConvParams, ids_or_seq, side_seq=None) -> np.ndarray:
-    """W x_l + side terms + b for every location l, before the relu."""
-    ids = _as_ids(ids_or_seq)
-    total = len(ids)
-    if side_seq is None:
-        side_seq = []
-    if len(side_seq) != len(params.side):
-        raise ValueError(f"expected {len(params.side)} side sequences, got {len(side_seq)}")
-    pre = np.repeat(params.b[:, None], total, axis=1)
-    for offset in range(params.region_size):
-        if offset >= total:
-            break
-        wo = _offset_weights(params, offset)
-        pre[:, :total - offset] += wo[:, ids[offset:]]
-    for sp, sv in zip(params.side, side_seq):
-        sv = np.asarray(sv, dtype=params.dtype)
-        if sv.shape != (sp.dim, total):
-            raise ValueError(f"side input: expected ({sp.dim}, {total}), got {sv.shape}")
+def _offset_columns(params, ids, offset):
+    """The w columns that region offset `offset` reads at positions
+    0..N-offset-1: offset*vocab + id for seq input, id for bow."""
+    stride = params.vocab_size if params.input_kind == "seq" else 0
+    return offset * stride + ids[offset:]
+
+
+def pre_activation(params: ConvParams, ids, totals, side_values=()) -> np.ndarray:
+    """W x_l + side terms + b at every location of the documents laid side
+    by side (`ids`, per-document `totals`), before the relu: (maps, N).
+
+    Offsets past the first are gathered one row at a time into a one-row
+    buffer, so no second (maps, N) array is ever held."""
+    n = ids.size
+    pre = mapped_empty((params.maps, n), params.dtype)
+    # mode="clip" lets take write straight into `out` without buffering
+    np.take(params.w, _offset_columns(params, ids, 0), axis=1, out=pre, mode="clip")
+    pre += params.b[:, None]
+    room = _room(totals)
+    buf = np.empty(max(n - 1, 0), dtype=params.dtype)
+    for offset in range(1, min(params.region_size, n)):
+        cols = _offset_columns(params, ids, offset)
+        past = np.flatnonzero(room[:n - offset] <= offset)  # reads past the doc's end
+        dest = buf[:n - offset]
+        for pre_row, w_row in zip(pre, params.w):
+            np.take(w_row, cols, out=dest, mode="clip")
+            dest[past] = 0
+            pre_row[:n - offset] += dest
+    for sp, sv in zip(params.side, side_values):
         pre += sp.w @ sv
     return pre
 
 
-def conv_forward(params: ConvParams, ids_or_seq, side_seq=None) -> np.ndarray:
-    """Region embedding at every location: (maps, T)."""
-    return relu(pre_activation(params, ids_or_seq, side_seq))
+def conv_forward(params: ConvParams, docs, side_list=None):
+    """Region embeddings of many documents in one batched pass.
+
+    docs: TokenSequences or id arrays; side_list: per document a list of
+    (dim_j, T) matrices matching params.side, or None when the layer has no
+    side channels.  Returns per-document (maps, T) outputs, plus the run
+    that backward_from_mask consumes.
+    """
+    ids_list = [as_ids(doc) for doc in docs]
+    totals = [ids.size for ids in ids_list]
+    side_list = side_list if side_list is not None else [None] * len(ids_list)
+    if any(len(sides or ()) != len(params.side) for sides in side_list):
+        raise ValueError(f"expected {len(params.side)} side sequences per document")
+    ids = np.concatenate([np.zeros(0, np.int64), *ids_list])
+    if ids.size and (ids.min() < 0 or ids.max() >= params.vocab_size):
+        raise ValueError(f"word ids must lie in [0, {params.vocab_size})")
+    side_values = [side_by_side([sides[j] for sides in side_list], sp.dim, totals,
+                                params.dtype, f"side input {j}")
+                   for j, sp in enumerate(params.side)]
+    h = pre_activation(params, ids, totals, side_values)
+    np.maximum(h, 0, out=h)
+    return by_doc(h, totals), _ConvRun(params, totals, ids, side_values, h)
 
 
-def backward_from_mask(params, ids_or_seq, mask, upstream, side_seq=None,
-                       want_side_values_grad=False):
-    """Gradients given the relu pass-through mask (pre-activation > 0)."""
-    ids = _as_ids(ids_or_seq)
-    total = len(ids)
-    if side_seq is None:
-        side_seq = []
-    dpre = np.asarray(upstream, dtype=params.dtype) * mask
-    # offset o of a seq region reads column o*vocab + id; bow reads column id
-    stride = params.vocab_size if params.input_kind == "seq" else 0
-    col_ids = [offset * stride + ids[offset:]
-               for offset in range(min(params.region_size, total))]
-    w_grad = ColumnGrad.over(params.w.shape, col_ids, params.dtype)
-    for offset, cols in enumerate(col_ids):
-        scatter_add_columns(w_grad.block, w_grad.slots(cols), dpre[:, :total - offset])
-    grads = ConvGrads(w_grad, dpre.sum(axis=1),
-                      [dpre @ np.asarray(sv, dtype=params.dtype).T for sv in side_seq])
-    side_value_grads = None
-    if want_side_values_grad:
-        side_value_grads = [sp.w.T @ dpre for sp in params.side]
-    return grads, side_value_grads
-
-
-def batch_backward_from_mask(params, docs, masks, upstreams, side_list=None):
-    """Minibatch gradients: backward_from_mask per document, summed in
-    document order (w as one ColumnGrad)."""
-    if side_list is None:
-        side_list = [None] * len(docs)
-    w_grads = []
-    b_grad = np.zeros_like(params.b)
-    side_grads = [np.zeros_like(sp.w) for sp in params.side]
-    for doc, mask, up, sides in zip(docs, masks, upstreams, side_list):
-        cg, _ = backward_from_mask(params, doc, mask, up, sides)
-        w_grads.append(cg.w)
-        b_grad += cg.b
-        for total, sg in zip(side_grads, cg.side):
-            total += sg
-    return ConvGrads(ColumnGrad.sum(w_grads), b_grad, side_grads)
-
-
-def conv_gradients(params: ConvParams, ids_or_seq, upstream, side_seq=None,
-                   want_side_values_grad=False):
-    """Exact gradients; relu subgradient at zero pre-activation is zero."""
-    upstream = np.asarray(upstream, dtype=params.dtype)
-    ids = _as_ids(ids_or_seq)
-    if upstream.shape != (params.maps, len(ids)):
-        raise ValueError(f"upstream must be ({params.maps}, {len(ids)})")
-    mask = pre_activation(params, ids, side_seq) > 0
-    return backward_from_mask(params, ids, mask, upstream, side_seq,
-                              want_side_values_grad)
+def backward_from_mask(run: _ConvRun, upstreams) -> ConvGrads:
+    """Exact gradients of sum over documents of upstream . outputs for a
+    conv_forward run; upstreams are per document (maps, T).  The relu
+    subgradient at zero pre-activation is zero.  One scatter per region
+    offset."""
+    params = run.params
+    n = run.ids.size
+    dpre = side_by_side(upstreams, params.maps, run.totals, params.dtype, "upstream")
+    dpre *= run.h > 0
+    room = _room(run.totals)
+    # per offset: the positions whose region reaches that far inside their
+    # document, and the w columns they read there
+    reads = []
+    for offset in range(min(params.region_size, n)):
+        pos = np.flatnonzero(room[:n - offset] > offset)
+        reads.append((pos, _offset_columns(params, run.ids, offset)[pos]))
+    w_grad = ColumnGrad.over(params.w.shape, [cols for _, cols in reads], params.dtype)
+    for pos, cols in reads:
+        scatter_add_columns(w_grad.block, w_grad.slots(cols), dpre[:, pos])
+    return ConvGrads(w_grad, dpre.sum(axis=1),
+                     [dpre @ sv.T for sv in run.side_values])

@@ -175,7 +175,8 @@ def encode(tokens, vocab: Vocabulary, label: int | None = None) -> TokenSequence
     return TokenSequence(np.array(ids, dtype=np.int64), label=label, raw_len=len(tokens))
 
 
-def _as_ids(ids_or_seq) -> np.ndarray:
+def as_ids(ids_or_seq) -> np.ndarray:
+    """The int64 word ids of a TokenSequence or an id array."""
     if isinstance(ids_or_seq, TokenSequence):
         return ids_or_seq.ids
     return np.asarray(ids_or_seq, dtype=np.int64)
@@ -183,7 +184,7 @@ def _as_ids(ids_or_seq) -> np.ndarray:
 
 def region_concat(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVector:
     """Concatenation-of-one-hots region vector; positions past the end are zero."""
-    ids = _as_ids(ids_or_seq)
+    ids = as_ids(ids_or_seq)
     if not 0 <= loc < len(ids):
         raise ValueError(f"region location {loc} out of range for length {len(ids)}")
     if size < 1:
@@ -200,7 +201,7 @@ def region_concat(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVec
 
 def region_bow(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVector:
     """Bag-of-words counts of the window [loc, loc+size)."""
-    ids = _as_ids(ids_or_seq)
+    ids = as_ids(ids_or_seq)
     if not 0 <= loc < len(ids):
         raise ValueError(f"region location {loc} out of range for length {len(ids)}")
     if size < 1:

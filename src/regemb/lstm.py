@@ -32,9 +32,11 @@ from .numkernel import (
     SparseVector,
     affine_dense,
     affine_sparse,
+    by_doc,
     gaussian_init,
     real_dtype,
     scatter_add_columns,
+    side_by_side,
     sigmoid,
 )
 
@@ -260,20 +262,6 @@ def _normalize_input(params, item):
     return arr
 
 
-def _columns(mats, rows, totals, dt, what):
-    """Per-document (rows, T) matrices side by side: one (rows, N) matrix."""
-    for i, (mat, total) in enumerate(zip(mats, totals)):
-        if np.shape(mat) != (rows, total):
-            raise ValueError(f"{what} for doc {i}: expected ({rows}, {total}), "
-                             f"got {np.shape(mat)}")
-    return np.concatenate([np.zeros((rows, 0), dt), *mats], axis=1, dtype=dt)
-
-
-def _by_doc(mat, totals):
-    bounds = np.cumsum([0, *totals])
-    return [mat[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _plan(totals, seg_len, overlap, reverse):
     """Segment lengths, first read position and warm-up steps, documents in
     order and each document's segments in plan order."""
@@ -329,12 +317,12 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
         flat_ids = np.concatenate([np.zeros(0, np.int64), *inputs_list])[src]
         zf = params.wx[:, flat_ids]
     else:
-        x_flat = _columns(inputs_list, params.input_dim, totals, dt, "input").T[src]
+        x_flat = side_by_side(inputs_list, params.input_dim, totals, dt, "input").T[src]
         zf = params.wx @ x_flat.T
     sv_flat = []
     for j, sp in enumerate(params.side):
         mats = [sides[j] for sides in side_list]
-        sv_flat.append(_columns(mats, sp.dim, totals, dt, f"side input {j}").T[src])
+        sv_flat.append(side_by_side(mats, sp.dim, totals, dt, f"side input {j}").T[src])
         zf += sp.w @ sv_flat[-1].T
 
     n_rows = params.wx.shape[0]
@@ -379,7 +367,7 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
     out = np.ascontiguousarray(out.T)
     run = _DocsRun(params, override, totals, widths, t_idx, k_idx, src, emit,
                    flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
-    return _by_doc(out, totals), run
+    return by_doc(out, totals), run
 
 
 def batch_backward_docs(run, upstreams, want_input_grad=False):
@@ -398,7 +386,7 @@ def batch_backward_docs(run, upstreams, want_input_grad=False):
     if want_input_grad and params.input_kind != "dense":
         raise ValueError("input gradients only exist for dense inputs")
 
-    up_all = _columns(upstreams, units, run.totals, dt, "upstream")
+    up_all = side_by_side(upstreams, units, run.totals, dt, "upstream")
     up = np.zeros((t_max, units, n), dtype=dt)
     up[run.t_idx[run.emit], :, run.k_idx[run.emit]] = up_all[:, run.src[run.emit]].T
 
@@ -445,7 +433,7 @@ def batch_backward_docs(run, upstreams, want_input_grad=False):
         # a warm-up position is read by two segments; their terms add up
         dx = np.zeros((params.input_dim, up_all.shape[1]), dtype=dt)
         scatter_add_columns(dx, run.src, (flat @ params.wx).T)
-        input_grads = _by_doc(dx, run.totals)
+        input_grads = by_doc(dx, run.totals)
     return grads, input_grads
 
 

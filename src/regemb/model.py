@@ -16,7 +16,7 @@ import numpy as np
 from . import conv as conv_mod
 from . import lstm as lstm_mod
 from . import tvembed as tv_mod
-from .corpus import Vocabulary
+from .corpus import Vocabulary, as_ids
 from .errors import DataError
 from .numkernel import ColumnGrad, RngSpec, gaussian_init, scatter_add_columns
 
@@ -245,17 +245,14 @@ def _side_inputs(params, tv):
 
 
 def _branch_forward(branch, docs, tv_list, chop_len, overlap):
-    """Per-document branch outputs, plus the per-part LSTM runs that the
-    backward pass consumes (None for conv).  The whole minibatch is one
-    batched pass per part."""
+    """Per-document branch outputs, plus the run that the backward pass
+    consumes: the conv run, or the per-part LSTM runs.  The whole minibatch
+    is one batched pass per part."""
     tv_list = tv_list if tv_list is not None else [None] * len(docs)
     if isinstance(branch, ConvBranch):
-        h_docs = [conv_mod.conv_forward(branch.params, doc,
-                                        _side_inputs(branch.params, tv))
-                  for doc, tv in zip(docs, tv_list)]
-        return h_docs, None
-    inputs = [doc.ids if hasattr(doc, "ids") else np.asarray(doc, dtype=np.int64)
-              for doc in docs]
+        return conv_mod.conv_forward(branch.params, docs,
+                                     [_side_inputs(branch.params, tv) for tv in tv_list])
+    inputs = [as_ids(doc) for doc in docs]
     if branch.embedding is not None:
         inputs = [branch.embedding[:, ids] for ids in inputs]
     part_h, runs = [], []
@@ -268,17 +265,12 @@ def _branch_forward(branch, docs, tv_list, chop_len, overlap):
     return [np.concatenate(hs, axis=0) for hs in zip(*part_h)], runs
 
 
-def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
-                     grads: dict):
-    tv_list = tv_list if tv_list is not None else [None] * len(docs)
+def _branch_backward(branch, prefix, run, docs, dh_docs, grads: dict):
     if isinstance(branch, ConvBranch):
-        params = branch.params
-        cg = conv_mod.batch_backward_from_mask(
-            params, docs, [h > 0 for h in h_docs], dh_docs,
-            [_side_inputs(params, tv) for tv in tv_list])
+        cg = conv_mod.backward_from_mask(run, dh_docs)
         grads[f"{prefix}.w"] = cg.w
         grads[f"{prefix}.b"] = cg.b
-        for sp, sg in zip(params.side, cg.side):
+        for sp, sg in zip(branch.params.side, cg.side):
             grads[f"{prefix}.side.{sp.tv_id}.w"] = sg
         return
 
@@ -290,9 +282,9 @@ def _branch_backward(branch, prefix, runs, docs, tv_list, h_docs, dh_docs,
                                    [doc.ids for doc in docs],
                                    branch.embedding.dtype)
         grads[f"{prefix}.emb"] = emb_grad
-    for pi, ((tag, params, _), run) in enumerate(zip(parts, runs)):
+    for pi, ((tag, params, _), part_run) in enumerate(zip(parts, run)):
         ups = [dh[row_split[pi]:row_split[pi + 1]] for dh in dh_docs]
-        lg, dx = lstm_mod.batch_backward_docs(run, ups, want_input_grad=want_emb)
+        lg, dx = lstm_mod.batch_backward_docs(part_run, ups, want_input_grad=want_emb)
         if want_emb:
             for doc, dx_doc in zip(docs, dx):
                 scatter_add_columns(emb_grad.block, emb_grad.slots(doc.ids), dx_doc)
@@ -304,11 +296,11 @@ def _pooled_forward(spec, docs, tv_list, chop_len, overlap):
     layout = []
     row = 0
     for branch in spec.branches:
-        h_docs, runs = _branch_forward(branch, docs, tv_list, chop_len, overlap)
+        h_docs, run = _branch_forward(branch, docs, tv_list, chop_len, overlap)
         width = branch.out_dim * branch.pooling.regions
         for bi, h in enumerate(h_docs):
             P[row:row + width, bi] = pool(h, branch.pooling)
-        layout.append((branch, runs, h_docs, row, width))
+        layout.append((branch, run, h_docs, row, width))
         row += width
     return P, layout
 
@@ -337,24 +329,11 @@ def predict(scores: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def model_forward(spec: ModelSpec, doc, mode: str = "eval", dropout=None,
-                  chop_len=None, tv_outs=None) -> np.ndarray:
-    """Class scores for one document.
-
-    Chopping applies only in train mode; eval processes true sequences.
-    `dropout` is an optional pre-drawn mask for the pooled document vector
-    (train mode); evaluation applies no scaling (inverted dropout).
-    An empty document yields the top layer applied to the zero vector.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tv_list = [tv_outs] if tv_outs is not None else tv_output_list(spec, [doc])
-    P, _ = _pooled_forward(spec, [doc], tv_list,
-                           chop_len if mode == "train" else None, 0)
-    vec = P[:, 0]
-    if mode == "train" and dropout is not None:
-        vec = vec * dropout
-    return spec.top.w @ vec + spec.top.b
+def model_forward(spec: ModelSpec, doc, tv_outs=None) -> np.ndarray:
+    """Eval-mode class scores for one document (`tv_outs`: its frozen-
+    embedding outputs keyed by tv id, computed when not given).  An empty
+    document yields the top layer applied to the zero vector."""
+    return batch_scores(spec, [doc], None if tv_outs is None else [tv_outs])[:, 0]
 
 
 def batch_scores(spec: ModelSpec, docs, tv_list=None) -> np.ndarray:
@@ -385,11 +364,10 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     dP = spec.top.w.T @ dscores
     if dropout_masks is not None:
         dP = dP * dropout_masks
-    for bi, (branch, runs, h_docs, row, width) in enumerate(layout):
+    for bi, (branch, run, h_docs, row, width) in enumerate(layout):
         dh_docs = [pool_backward(h_docs[i], branch.pooling, dP[row:row + width, i])
                    for i in range(len(docs))]
-        _branch_backward(branch, f"br{bi}", runs, docs, tv_list, h_docs, dh_docs,
-                         grads)
+        _branch_backward(branch, f"br{bi}", run, docs, dh_docs, grads)
     for name, param in iter_params(spec):
         if name not in grads:
             grads[name] = np.zeros_like(param)

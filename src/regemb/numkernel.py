@@ -8,6 +8,7 @@ mode is active at creation time, never mixed per-tensor.
 
 from __future__ import annotations
 
+import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -101,13 +102,6 @@ class SparseVector:
     def one_hot(cls, dim: int, index: int, value: float = 1.0) -> "SparseVector":
         return cls(dim, np.array([index]), np.array([value]))
 
-    @classmethod
-    def from_pairs(cls, dim: int, pairs) -> "SparseVector":
-        pairs = sorted(pairs)
-        idx = np.array([i for i, _ in pairs], dtype=np.int64)
-        val = np.array([v for _, v in pairs], dtype=real_dtype())
-        return cls(dim, idx, val)
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -195,6 +189,38 @@ def scatter_add_columns(dest: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> 
     return dest
 
 
+def side_by_side(mats, rows, totals, dt, what):
+    """Per-document (rows, T) matrices side by side: one (rows, N) matrix."""
+    for i, (mat, total) in enumerate(zip(mats, totals)):
+        if np.shape(mat) != (rows, total):
+            raise ValueError(f"{what} for doc {i}: expected ({rows}, {total}), "
+                             f"got {np.shape(mat)}")
+    return np.concatenate([np.zeros((rows, 0), dt), *mats], axis=1, dtype=dt)
+
+
+def by_doc(mat, totals):
+    """The per-document column blocks (views) of a side-by-side matrix."""
+    bounds = np.cumsum([0, *totals])
+    return [mat[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def mapped_empty(shape, dtype) -> np.ndarray:
+    """Uninitialised array in an anonymous memory mapping of its own, which
+    goes back to the system as soon as the array is freed.
+
+    glibc's malloc maps a large block of its own too, but freeing it raises
+    the size above which malloc maps blocks (up to 32 MiB), so the next
+    block of that size comes from the heap and stays resident after it is
+    freed.  A seq-CNN's output for an eval block is such a block (31 MiB
+    on seqcnn_30k); from the heap it stayed resident into the next
+    command and raised that run's peak RSS by about 20 MB.
+    """
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    area = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(area, dtype, count=count).reshape(shape)
+
+
 @dataclass(eq=False)
 class ColumnGrad:
     """Gradient of a matrix that is exactly zero outside a few columns.
@@ -214,15 +240,6 @@ class ColumnGrad:
         """Zero gradient whose block covers every column id in `id_arrays`."""
         cols = np.unique(np.concatenate([np.zeros(0, np.int64), *id_arrays]))
         return cls(tuple(shape), cols, np.zeros((shape[0], cols.size), dtype=dtype))
-
-    @classmethod
-    def sum(cls, grads) -> "ColumnGrad":
-        """Sum in list order; bit-identical to dense `total += g` from zeros,
-        since the columns a term skips would only add an exact zero."""
-        total = cls.over(grads[0].shape, [g.cols for g in grads], grads[0].block.dtype)
-        for g in grads:
-            total.block[:, total.slots(g.cols)] += g.block
-        return total
 
     def slots(self, ids) -> np.ndarray:
         """Block positions of column ids (each must be in `cols`)."""

@@ -19,13 +19,13 @@ import numpy as np
 
 from . import conv as conv_mod
 from . import lstm as lstm_mod
-from .corpus import TokenSequence, Vocabulary
+from .corpus import Vocabulary, as_ids
 from .errors import DataError
 from .numkernel import (
+    ColumnGrad,
     RngSpec,
     SparseVector,
     gaussian_init,
-    relu,
     scatter_add_columns,
 )
 from .optim import EpochLog, TrainConfig, Updater, check_loss, check_params
@@ -106,13 +106,12 @@ class TvEmbedding:
         form: the output of the complete region starting at l lands at
         position l + align_offset; uncovered positions are zero.
         """
-        ids_list = [_ids(doc) for doc in ids_list]
         if self.kind == "lstm":
             return lstm_mod.batch_forward_docs(
-                self.lstm_params, ids_list, None, seg_len, overlap,
-                reverse=self.direction == "backward")
-        pres = [conv_mod.pre_activation(self.conv_params, ids) for ids in ids_list]
-        return [self._shift(relu(pre), True) for pre in pres], (ids_list, pres)
+                self.lstm_params, [as_ids(doc) for doc in ids_list], None, seg_len,
+                overlap, reverse=self.direction == "backward")
+        h_docs, run = conv_mod.conv_forward(self.conv_params, ids_list)
+        return [self._shift(h, True) for h in h_docs], run
 
     def gradients(self, run, upstreams) -> dict:
         """Gradients of sum over documents of upstream . outputs, keyed like
@@ -121,10 +120,7 @@ class TvEmbedding:
         if self.kind == "lstm":
             lg, _ = lstm_mod.batch_backward_docs(run, upstreams)
             return dict(lstm_mod.gate_tensors(self.lstm_params, grads=lg))
-        ids_list, pres = run
-        cg = conv_mod.batch_backward_from_mask(
-            self.conv_params, ids_list, [pre > 0 for pre in pres],
-            [self._shift(up, False) for up in upstreams])
+        cg = conv_mod.backward_from_mask(run, [self._shift(up, False) for up in upstreams])
         return {"w": cg.w, "b": cg.b}
 
     def _shift(self, mat, to_output):
@@ -137,16 +133,10 @@ class TvEmbedding:
         return out
 
 
-def _ids(ids_or_seq) -> np.ndarray:
-    if isinstance(ids_or_seq, TokenSequence):
-        return ids_or_seq.ids
-    return np.asarray(ids_or_seq, dtype=np.int64)
-
-
 def tv_targets(ids_or_seq, t: int, spec: TvObjectiveSpec) -> SparseVector:
     """Bow vector (over the target vocabulary) of the k words after position t
     (forward) or before it (backward); truncated at document bounds."""
-    ids = _ids(ids_or_seq)
+    ids = as_ids(ids_or_seq)
     if not 0 <= t < len(ids):
         raise ValueError(f"position {t} out of range for length {len(ids)}")
     if spec.direction == "forward":
@@ -302,22 +292,23 @@ def _head_terms(targets_batch, dim, neg, gen):
 
 class _Head:
     """Linear prediction head over the target vocabulary; discarded after
-    training."""
+    training.  Its weights are (dim, target vocab), one column per target
+    word, so a minibatch's gradient is a ColumnGrad over the coordinates it
+    touched."""
 
     def __init__(self, target_dim, dim, gen, dtype):
-        self.w = gaussian_init(target_dim, dim, INIT_STD, gen)
+        self.w = gaussian_init(target_dim, dim, INIT_STD, gen).T
         self.b = np.zeros(target_dim, dtype=dtype)
 
     def forward(self, h_all, coords, rows):
-        return np.einsum("nd,dn->n", self.w[coords], h_all[:, rows]) + self.b[coords]
+        return np.einsum("dn,dn->n", self.w[:, coords], h_all[:, rows]) + self.b[coords]
 
     def backward(self, h_all, coords, rows, dp):
-        dw = np.zeros_like(self.w)
-        contrib = h_all[:, rows] * dp  # (dim, n_active)
-        scatter_add_columns(dw.T, coords, contrib)
+        dw = ColumnGrad.over(self.w.shape, [coords], self.w.dtype)
+        scatter_add_columns(dw.block, dw.slots(coords), h_all[:, rows] * dp)
         db = np.bincount(coords, weights=dp, minlength=self.b.size).astype(self.b.dtype)
         dh_all = np.zeros_like(h_all)
-        scatter_add_columns(dh_all, rows, self.w[coords].T * dp)
+        scatter_add_columns(dh_all, rows, self.w[:, coords] * dp)
         return dw, db, dh_all
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from regemb.conv import ConvParams, conv_forward, conv_gradients
-from regemb.corpus import region_bow, region_concat
+import regemb.conv as conv_mod
+from regemb.conv import ConvParams, backward_from_mask, conv_forward
+from regemb.corpus import TokenSequence, region_bow, region_concat
 from regemb.lstm import SideInputParams
-from regemb.numkernel import RngSpec, relu
+from regemb.numkernel import RngSpec, relu, scatter_add_columns
 
 
 def random_conv(rng, maps, region, input_kind, vocab, n_side=0, side_dim=2, scale=0.5):
@@ -21,6 +22,21 @@ def rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
+def forward_one(p, ids, side=None):
+    """One document through the batched engine: (maps, T)."""
+    return conv_forward(p, [ids], None if side is None else [side])[0][0]
+
+
+def gradients_one(p, ids, upstream, side=None):
+    _, run = conv_forward(p, [ids], None if side is None else [side])
+    return backward_from_mask(run, [upstream])
+
+
+def batch_loss(p, docs, sides, ups):
+    outs, _ = conv_forward(p, docs, sides)
+    return float(sum(np.sum(up * out) for up, out in zip(ups, outs)))
+
+
 class TestConvForward:
     def test_matches_per_location_region_vectors(self):
         # oracle: out[:, l] = relu(w @ region_vec(l) + b) via the corpus ops
@@ -28,7 +44,7 @@ class TestConvForward:
         for input_kind in ("seq", "bow"):
             p = random_conv(rng, 3, 3, input_kind, 5)
             ids = rng.integers(0, 5, size=7)
-            out = conv_forward(p, ids)
+            out = forward_one(p, ids)
             build = region_concat if input_kind == "seq" else region_bow
             for loc in range(7):
                 x = build(ids, loc, 3, 5).densify()
@@ -40,11 +56,11 @@ class TestConvForward:
         seq = random_conv(rng, 4, 1, "seq", 6)
         bow = ConvParams(4, 1, "bow", 6, seq.w.copy(), seq.b.copy())
         ids = rng.integers(0, 6, size=9)
-        np.testing.assert_array_equal(conv_forward(seq, ids), conv_forward(bow, ids))
+        np.testing.assert_array_equal(forward_one(seq, ids), forward_one(bow, ids))
 
     def test_negative_bias_clamps_to_zero(self):
         p = ConvParams(2, 2, "seq", 3, np.zeros((2, 6)), np.array([-1.0, -2.0]))
-        out = conv_forward(p, np.array([0, 1, 2]))
+        out = forward_one(p, np.array([0, 1, 2]))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_protocol_shapes(self):
@@ -58,7 +74,16 @@ class TestConvForward:
     def test_empty_doc(self):
         rng = np.random.default_rng(2)
         p = random_conv(rng, 2, 3, "seq", 4)
-        assert conv_forward(p, np.zeros(0, np.int64)).shape == (2, 0)
+        assert forward_one(p, np.zeros(0, np.int64)).shape == (2, 0)
+
+    def test_out_of_range_ids_rejected(self):
+        # the gather clips indices, so the engine refuses them up front
+        rng = np.random.default_rng(7)
+        for input_kind in ("seq", "bow"):
+            p = random_conv(rng, 2, 2, input_kind, 4)
+            for bad in (4, -1):
+                with pytest.raises(ValueError):
+                    conv_forward(p, [np.array([0, 1]), np.array([2, bad])])
 
     def test_location_shift(self):
         # inserting a token at the front shifts interior columns by one
@@ -66,8 +91,8 @@ class TestConvForward:
         p = random_conv(rng, 3, 3, "seq", 5)
         ids = rng.integers(0, 5, size=8)
         longer = np.concatenate([[4], ids])
-        a = conv_forward(p, ids)
-        b = conv_forward(p, longer)
+        a = forward_one(p, ids)
+        b = forward_one(p, longer)
         np.testing.assert_array_equal(b[:, 1:9], a)
 
     def test_side_input_added(self):
@@ -78,10 +103,10 @@ class TestConvForward:
         base = random_conv(rng, 3, 2, "seq", 5)
         base.w[:] = p.w
         base.b[:] = p.b
-        with_side = conv_forward(p, ids, [sv])
-        plain = conv_forward(base, ids)
+        with_side = forward_one(p, ids, [sv])
+        plain = forward_one(base, ids)
         assert not np.array_equal(with_side, plain)
-        zero = conv_forward(p, ids, [np.zeros((2, 6))])
+        zero = forward_one(p, ids, [np.zeros((2, 6))])
         np.testing.assert_array_equal(zero, plain)
 
 
@@ -91,7 +116,7 @@ class TestConvGradients:
         p = random_conv(rng, 3, 2, "seq", 4, n_side=1)
         ids = rng.integers(0, 4, size=5)
         sv = [rng.standard_normal((2, 5))]
-        grads, _ = conv_gradients(p, ids, np.zeros((3, 5)), sv)
+        grads = gradients_one(p, ids, np.zeros((3, 5)), sv)
         np.testing.assert_array_equal(grads.w, np.zeros_like(p.w))
         np.testing.assert_array_equal(grads.b, np.zeros_like(p.b))
 
@@ -110,14 +135,12 @@ class TestConvGradients:
             upstream = rng.standard_normal((maps, total))
 
             def loss():
-                return float(np.sum(upstream * conv_forward(p, ids, side)))
+                return float(np.sum(upstream * forward_one(p, ids, side)))
 
-            grads, dsv = conv_gradients(p, ids, upstream, side,
-                                        want_side_values_grad=bool(n_side))
+            grads = gradients_one(p, ids, upstream, side)
             tensors = [("w", p.w, grads.w), ("b", p.b, grads.b)]
             for j in range(n_side):
                 tensors.append((f"side{j}", p.side[j].w, grads.side[j]))
-                tensors.append((f"sv{j}", side[j], dsv[j]))
             for name, arr, g in tensors:
                 flat = arr.reshape(-1)
                 gflat = np.asarray(g).reshape(-1)
@@ -135,7 +158,7 @@ class TestConvGradients:
         # relu subgradient at exactly 0 is 0
         p = ConvParams(2, 2, "seq", 3, np.zeros((2, 6)), np.zeros(2))
         ids = np.array([0, 1, 2])
-        grads, _ = conv_gradients(p, ids, np.ones((2, 3)))
+        grads = gradients_one(p, ids, np.ones((2, 3)))
         np.testing.assert_array_equal(grads.w, np.zeros_like(p.w))
         np.testing.assert_array_equal(grads.b, np.zeros_like(p.b))
 
@@ -143,4 +166,83 @@ class TestConvGradients:
         rng = np.random.default_rng(6)
         p = random_conv(rng, 2, 2, "seq", 3)
         with pytest.raises(ValueError):
-            conv_gradients(p, np.array([0, 1]), np.zeros((2, 3)))
+            gradients_one(p, np.array([0, 1]), np.zeros((2, 3)))
+
+
+def ragged_batch(rng, region, vocab, n_side, side_dim=2):
+    """Id arrays of lengths 0, 1, 2, region and 9; the same documents with
+    one of them as a TokenSequence; per-document side values."""
+    ids = [rng.integers(0, vocab, size=n) for n in (0, 1, 2, region, 9)]
+    docs = ids[:2] + [TokenSequence(ids[2])] + ids[3:]
+    sides = [[rng.standard_normal((side_dim, len(x))) for _ in range(n_side)]
+             for x in ids]
+    return ids, docs, (sides if n_side else None)
+
+
+class TestConvEngine:
+    """A ragged batch through one engine pass, against per-location and
+    per-document references."""
+
+    @pytest.mark.parametrize("input_kind", ["seq", "bow"])
+    @pytest.mark.parametrize("n_side", [0, 2])
+    def test_outputs_match_per_location_oracle(self, input_kind, n_side):
+        build = region_concat if input_kind == "seq" else region_bow
+        for region in range(1, 6):
+            rng = np.random.default_rng(100 + region)
+            p = random_conv(rng, 3, region, input_kind, 6, n_side)
+            id_list, docs, sides = ragged_batch(rng, region, 6, n_side)
+            outs, _ = conv_forward(p, docs, sides)
+            for i, ids in enumerate(id_list):
+                assert outs[i].shape == (3, len(ids))
+                for loc in range(len(ids)):
+                    pre = p.w @ build(ids, loc, region, 6).densify() + p.b
+                    for sp, sv in zip(p.side, sides[i] if sides else ()):
+                        pre += sp.w @ sv[:, loc]
+                    np.testing.assert_allclose(outs[i][:, loc], relu(pre),
+                                               rtol=1e-12, atol=1e-12)
+                if not n_side:  # the batch changes no document's bytes
+                    np.testing.assert_array_equal(outs[i], forward_one(p, ids))
+
+    @pytest.mark.parametrize("input_kind", ["seq", "bow"])
+    def test_gradients_match_finite_differences(self, input_kind):
+        eps = 1e-4
+        for region in range(1, 6):
+            rng = np.random.default_rng(200 + region)
+            p = random_conv(rng, 2, region, input_kind, 4, n_side=2)
+            id_list, docs, sides = ragged_batch(rng, region, 4, 2)
+            ups = [rng.standard_normal((2, len(ids))) for ids in id_list]
+            _, run = conv_forward(p, docs, sides)
+            grads = backward_from_mask(run, ups)
+            tensors = [("w", p.w, grads.w), ("b", p.b, grads.b)]
+            tensors += [(f"side{j}", sp.w, g) for j, (sp, g) in
+                        enumerate(zip(p.side, grads.side))]
+            for name, arr, g in tensors:
+                flat = arr.reshape(-1)
+                gflat = np.asarray(g).reshape(-1)
+                for c in range(flat.size):
+                    orig = flat[c]
+                    flat[c] = orig + eps
+                    up = batch_loss(p, docs, sides, ups)
+                    flat[c] = orig - eps
+                    down = batch_loss(p, docs, sides, ups)
+                    flat[c] = orig
+                    numeric = (up - down) / (2 * eps)
+                    assert rel_err(gflat[c], numeric) < 1e-4, (region, name, c)
+
+    @pytest.mark.parametrize("input_kind", ["seq", "bow"])
+    def test_backward_scatters_once_per_offset(self, monkeypatch, input_kind):
+        calls = []
+
+        def counting(dest, idx, cols):
+            calls.append(idx.size)
+            return scatter_add_columns(dest, idx, cols)
+
+        monkeypatch.setattr(conv_mod, "scatter_add_columns", counting)
+        for region in range(1, 6):
+            rng = np.random.default_rng(300 + region)
+            p = random_conv(rng, 2, region, input_kind, 5)
+            docs = [rng.integers(0, 5, size=n) for n in (3, 0, 7, 1, 12, 4)]
+            _, run = conv_forward(p, docs)
+            calls.clear()
+            backward_from_mask(run, [np.ones((2, len(d))) for d in docs])
+            assert len(calls) <= region

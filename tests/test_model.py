@@ -197,29 +197,27 @@ class TestModelForward:
         scores = model_forward(spec, TokenSequence(np.zeros(0, np.int64)))
         np.testing.assert_array_equal(scores, spec.top.b)
 
-    def test_train_mode_rate_zero_equals_eval(self):
-        spec = make_model(seed=5)
-        doc = TokenSequence(np.array([2, 3, 1]))
-        train = model_forward(spec, doc, mode="train", dropout=None)
-        ev = model_forward(spec, doc)
-        np.testing.assert_array_equal(train, ev)
-
     def test_dropout_mask_applied(self):
+        # an all-zero mask leaves the top bias as the scores: no gradient
+        # reaches the top weights or any branch
         spec = make_model(seed=6)
         doc = TokenSequence(np.array([2, 3, 1]))
-        mask = np.zeros(spec.doc_dim)
-        scores = model_forward(spec, doc, mode="train", dropout=mask)
-        np.testing.assert_array_equal(scores, spec.top.b)
+        mask = np.zeros((spec.doc_dim, 1))
+        _, grads = batch_forward_backward(spec, [doc], [1], dropout_masks=mask)
+        np.testing.assert_array_equal(grads["top.b"], 2.0 * (spec.top.b - [0.0, 1.0]))
+        for name, grad in grads.items():
+            if name != "top.b":
+                np.testing.assert_array_equal(np.asarray(grad), 0.0)
 
     def test_chopping_applies_only_in_train_mode(self):
         spec = make_model(seed=11)
         rng = np.random.default_rng(3)
         doc = TokenSequence(rng.integers(0, 6, size=20))
-        eval_scores = model_forward(spec, doc, chop_len=4)
-        train_scores = model_forward(spec, doc, mode="train", chop_len=4)
-        plain = model_forward(spec, doc)
-        np.testing.assert_array_equal(eval_scores, plain)
-        assert not np.array_equal(train_scores, plain)
+        train_loss, _ = batch_forward_backward(spec, [doc], [0], chop_len=4)
+        plain_loss, _ = batch_forward_backward(spec, [doc], [0])
+        eval_loss = square_loss(model_forward(spec, doc), 0)[0]
+        np.testing.assert_allclose(plain_loss, eval_loss, rtol=1e-10)
+        assert train_loss != plain_loss
 
     def test_batch_scores_matches_per_doc(self):
         spec = make_model(seed=7)

@@ -11,6 +11,7 @@ from regemb.numkernel import (
     elementwise,
     gaussian_init,
     get_precision,
+    mapped_empty,
     precision,
     real_dtype,
     scatter_add_columns,
@@ -247,3 +248,14 @@ class TestAssertFinite:
 
     def test_passes_on_finite(self):
         assert_finite(np.array([1.0, -2.0]), "loss")
+
+
+class TestMappedEmpty:
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 0), (0,)])
+    def test_writable_array_of_shape_and_dtype(self, shape):
+        for dtype in (np.float32, np.float64):
+            arr = mapped_empty(shape, dtype)
+            assert arr.shape == shape and arr.dtype == dtype
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            arr[...] = 1.5
+            assert np.all(arr == 1.5)

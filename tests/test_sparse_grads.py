@@ -1,16 +1,17 @@
 """Column-sparse gradients of one-hot-indexed matrices.
 
 Each ColumnGrad is compared bit for bit against the dense computation it
-replaces: the same per-document values scattered into a zero matrix of the
-full shape and summed densely in the same order.
+replaces: the same values scattered into a zero matrix of the full shape in
+the same order.
 """
 
 import numpy as np
 import pytest
 
+import regemb.conv as conv_mod
 import regemb.lstm as lstm_mod
 import regemb.model as model_mod
-from regemb.conv import ConvParams, backward_from_mask, pre_activation
+from regemb.conv import ConvParams, backward_from_mask, conv_forward
 from regemb.corpus import TokenSequence
 from regemb.lstm import (
     LstmParams,
@@ -61,53 +62,39 @@ class TestColumnGrad:
         empty = ColumnGrad.over((3, 10), [], np.float64)
         np.testing.assert_array_equal(np.asarray(empty), np.zeros((3, 10)))
 
-    def test_sum_equals_dense_sum(self, mode):
-        gen = np.random.default_rng(0)
-        dt = np.dtype(mode)
-        for _ in range(20):
-            grads = []
-            for _ in range(int(gen.integers(1, 6))):
-                cols = np.unique(gen.integers(0, 15, size=int(gen.integers(0, 8))))
-                grads.append(ColumnGrad((4, 15), cols,
-                                        gen.standard_normal((4, cols.size)).astype(dt)))
-            dense = np.zeros((4, 15), dtype=dt)
-            for g in grads:
-                dense += np.asarray(g)
-            np.testing.assert_array_equal(np.asarray(ColumnGrad.sum(grads)), dense)
-
 
 class TestConvColumnGrad:
     @pytest.mark.parametrize("input_kind", ["seq", "bow"])
-    def test_matches_dense_scatter_oracle(self, mode, input_kind):
+    def test_matches_dense_scatter_oracle(self, mode, monkeypatch, input_kind):
         gen = np.random.default_rng(1)
         vocab, maps, region = 9, 4, 3
         params = ConvParams.create(maps, region, input_kind, vocab, gen, std=0.5)
         params.side.append(SideInputParams(
             "tv0", 2, gen.standard_normal((maps, 2)).astype(params.dtype)))
         docs = _docs(gen, 6, vocab)
+        sides = [[gen.standard_normal((2, len(ids))).astype(params.dtype)]
+                 for ids in docs]
+        ups = [gen.standard_normal((maps, len(ids))).astype(params.dtype)
+               for ids in docs]
+        h_docs, run = conv_forward(params, docs, sides)
+        scattered = []  # (block slots, values) of every scatter
+
+        def recording(dest, idx, cols):
+            scattered.append((idx.copy(), cols.copy()))
+            return scatter_add_columns(dest, idx, cols)
+
+        monkeypatch.setattr(conv_mod, "scatter_add_columns", recording)
+        grads = backward_from_mask(run, ups)
+        assert len(scattered) == region  # one scatter per region offset
+        assert isinstance(grads.w, ColumnGrad)
+        # dense oracle: the same scatters into the full-width matrix
         w_dense = np.zeros_like(params.w)
-        side_dense = np.zeros_like(params.side[0].w)
-        w_grads, side_sum = [], np.zeros_like(side_dense)
-        for ids in docs:
-            sv = [gen.standard_normal((2, len(ids))).astype(params.dtype)]
-            upstream = gen.standard_normal((maps, len(ids))).astype(params.dtype)
-            mask = pre_activation(params, ids, sv) > 0
-            cg, _ = backward_from_mask(params, ids, mask, upstream, sv)
-            assert isinstance(cg.w, ColumnGrad)
-            w_grads.append(cg.w)
-            side_sum += cg.side[0]
-            # dense per-document oracle: the full-width scatter it replaces
-            dpre = upstream * mask
-            doc = np.zeros_like(params.w)
-            for offset in range(min(region, len(ids))):
-                block = doc if input_kind == "bow" else \
-                    doc[:, offset * vocab:(offset + 1) * vocab]
-                scatter_add_columns(block, ids[offset:], dpre[:, :len(ids) - offset])
-            w_dense += doc
-            side_dense += dpre @ sv[0].T
-            np.testing.assert_array_equal(np.asarray(cg.w), doc)
-        np.testing.assert_array_equal(np.asarray(ColumnGrad.sum(w_grads)), w_dense)
-        np.testing.assert_array_equal(side_sum, side_dense)
+        for slots, cols in scattered:
+            scatter_add_columns(w_dense, grads.w.cols[slots], cols)
+        np.testing.assert_array_equal(np.asarray(grads.w), w_dense)
+        dpre = np.concatenate([up * (h > 0) for up, h in zip(ups, h_docs)], axis=1)
+        sv = np.concatenate([s[0] for s in sides], axis=1)
+        np.testing.assert_array_equal(grads.side[0], dpre @ sv.T)
 
 
 class TestLstmColumnGrad:

@@ -5,12 +5,13 @@ from regemb import conv as conv_mod
 from regemb import lstm as lstm_mod
 from regemb.corpus import Dataset, StopwordList, TokenSequence, Vocabulary, target_vocab
 from regemb.errors import DataError
-from regemb.numkernel import RngSpec, SparseVector, precision
+from regemb.numkernel import ColumnGrad, RngSpec, SparseVector, precision
 from regemb.optim import TrainConfig
 from regemb.tvembed import (
     TvEmbedding,
     TvObjectiveSpec,
     _collect_targets,
+    _Head,
     _sample_negatives_flat,
     apply_tv,
     attach,
@@ -275,14 +276,14 @@ class TestApplyTv:
         assert out.shape == (3, 6)
         np.testing.assert_array_equal(out[:, :2], np.zeros((3, 2)))
         np.testing.assert_array_equal(out[:, 4:], np.zeros((3, 2)))
-        pre = conv_mod.pre_activation(emb.conv_params, ids)[:, 0]
+        pre = conv_mod.pre_activation(emb.conv_params, ids, [6])[:, 0]
         np.testing.assert_allclose(out[:, 2], np.maximum(pre, 0), rtol=1e-12)
 
     def test_region_one_is_positionwise(self):
         emb = self._cnn_emb(region=1)
         ids = np.array([1, 4, 0])
         out = apply_tv(emb, [ids])[0]
-        full = conv_mod.conv_forward(emb.conv_params, ids)
+        full = conv_mod.conv_forward(emb.conv_params, [ids])[0][0]
         np.testing.assert_array_equal(out, full)
 
     def test_short_doc_all_zero(self):
@@ -397,12 +398,12 @@ class TestAttach:
         attach(params, [emb], rng)
         ids = np.array([0, 4, 2, 1])
         sv = [apply_tv(emb, [ids])[0]]
-        pre1 = conv_mod.pre_activation(params, ids, sv)
+        pre1 = conv_mod.pre_activation(params, ids, [4], sv)
         saved = params.side[0].w.copy()
         params.side[0].w[:] = 0.0
-        pre0 = conv_mod.pre_activation(params, ids, sv)
+        pre0 = conv_mod.pre_activation(params, ids, [4], sv)
         params.side[0].w[:] = 2.0 * saved
-        pre2 = conv_mod.pre_activation(params, ids, sv)
+        pre2 = conv_mod.pre_activation(params, ids, [4], sv)
         np.testing.assert_allclose(pre2 - pre0, 2.0 * (pre1 - pre0), rtol=1e-12)
 
 
@@ -583,3 +584,40 @@ class TestTvEmbeddingGradients:
             for name in grads:
                 np.testing.assert_array_equal(np.asarray(moved[name]),
                                               np.asarray(grads[name]))
+
+
+class TestHead:
+    def test_gradients_match_central_differences(self):
+        # the training loss sum((p - z)^2) over a minibatch's active
+        # coordinates; coordinates repeat across positions
+        with precision("float64"):
+            gen = np.random.default_rng(12)
+            head = _Head(9, 3, gen, np.float64)
+            head.b[:] = gen.standard_normal(9)
+            h_all = gen.standard_normal((3, 4))
+            coords = np.array([2, 5, 2, 8, 0, 5, 5])
+            rows = np.array([0, 0, 1, 1, 2, 3, 2])
+            z = gen.standard_normal(coords.size)
+
+            def loss():
+                diff = head.forward(h_all, coords, rows) - z
+                return float(np.sum(diff * diff))
+
+            dp = 2.0 * (head.forward(h_all, coords, rows) - z)
+            dw, db, dh_all = head.backward(h_all, coords, rows, dp)
+            assert isinstance(dw, ColumnGrad)
+            np.testing.assert_array_equal(dw.cols, [0, 2, 5, 8])
+            eps = 1e-6
+            for name, param, grad in (("w", head.w, dw), ("b", head.b, db),
+                                      ("h", h_all, dh_all)):
+                numeric = np.zeros(param.shape)
+                for c in np.ndindex(param.shape):
+                    orig = param[c]
+                    param[c] = orig + eps
+                    up = loss()
+                    param[c] = orig - eps
+                    down = loss()
+                    param[c] = orig
+                    numeric[c] = (up - down) / (2 * eps)
+                np.testing.assert_allclose(np.asarray(grad), numeric,
+                                           rtol=1e-5, atol=1e-7, err_msg=name)
