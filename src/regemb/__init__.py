@@ -13,8 +13,6 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     encode,
-    region_bow,
-    region_concat,
     target_vocab,
     tokenize,
 )
@@ -22,11 +20,9 @@ from .errors import DataError, NumericError
 from .lstm import (
     GateOverride,
     LstmParams,
-    LstmState,
     SideInputParams,
     fold_embedding,
     forward_sequence,
-    lstm_step,
     sequence_gradients,
 )
 from .conv import ConvParams, conv_forward
@@ -45,10 +41,6 @@ from .model import (
 )
 from .numkernel import (
     RngSpec,
-    SparseVector,
-    affine_dense,
-    affine_sparse,
-    elementwise,
     gaussian_init,
     precision,
     set_precision,
@@ -62,8 +54,6 @@ from .tvembed import (
     attach,
     train_tv_cnn,
     train_tv_lstm,
-    tv_targets,
-    weighted_square_loss,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import as_ids
-from .lstm import SideInputParams
 from .numkernel import (
     ColumnGrad,
     RngSpec,
@@ -64,13 +63,6 @@ class ConvParams:
         w = gaussian_init(maps, cols, std, gen)
         return cls(maps, region_size, input_kind, vocab_size, w,
                    np.zeros(maps, dtype=w.dtype))
-
-    def copy(self) -> "ConvParams":
-        return ConvParams(
-            self.maps, self.region_size, self.input_kind, self.vocab_size,
-            self.w.copy(), self.b.copy(),
-            [SideInputParams(s.tv_id, s.dim, s.w.copy()) for s in self.side],
-        )
 
 
 class ConvGrads(NamedTuple):

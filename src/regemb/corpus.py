@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary construction, and sparse document encodings.
+"""Tokenization, vocabulary construction, and document encoding.
 
 Text ingestion is line oriented: one document per line in token files, one
 class-name string per line in label files, one word per line in stopword
@@ -14,18 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .numkernel import SparseVector
-
-# Small built-in function-word list for target-vocabulary control; callers
-# with real corpora should supply their own stopword file.
-DEFAULT_STOPWORDS = (
-    "a an the this that these those it its he she his her they them their "
-    "i me my we us our you your is are was were be been being am do does "
-    "did have has had will would shall should can could may might must "
-    "and or but if then else when while as of at by for with about into "
-    "to from in on up down out over under again there here not no nor so "
-    "than too very s t don now own same just what which who whom such"
-).split()
 
 
 @dataclass(frozen=True)
@@ -35,10 +23,6 @@ class StopwordList:
     def __post_init__(self):
         lowered = frozenset(w.lower() for w in self.words)
         object.__setattr__(self, "words", lowered)
-
-    @classmethod
-    def default(cls) -> "StopwordList":
-        return cls(frozenset(DEFAULT_STOPWORDS))
 
     @classmethod
     def from_file(cls, path) -> "StopwordList":
@@ -67,9 +51,6 @@ class Vocabulary:
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
-
-    def id_of(self, word: str) -> int:
-        return self.index[word]
 
     def sha256(self) -> str:
         digest = hashlib.sha256("\n".join(self.words).encode("utf-8"))
@@ -180,35 +161,6 @@ def as_ids(ids_or_seq) -> np.ndarray:
     if isinstance(ids_or_seq, TokenSequence):
         return ids_or_seq.ids
     return np.asarray(ids_or_seq, dtype=np.int64)
-
-
-def region_concat(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVector:
-    """Concatenation-of-one-hots region vector; positions past the end are zero."""
-    ids = as_ids(ids_or_seq)
-    if not 0 <= loc < len(ids):
-        raise ValueError(f"region location {loc} out of range for length {len(ids)}")
-    if size < 1:
-        raise ValueError("region size must be >= 1")
-    stop = min(loc + size, len(ids))
-    window = ids[loc:stop]
-    slots = np.arange(stop - loc, dtype=np.int64)
-    return SparseVector(
-        size * vocab_size,
-        slots * vocab_size + window,
-        np.ones(stop - loc),
-    )
-
-
-def region_bow(ids_or_seq, loc: int, size: int, vocab_size: int) -> SparseVector:
-    """Bag-of-words counts of the window [loc, loc+size)."""
-    ids = as_ids(ids_or_seq)
-    if not 0 <= loc < len(ids):
-        raise ValueError(f"region location {loc} out of range for length {len(ids)}")
-    if size < 1:
-        raise ValueError("region size must be >= 1")
-    window = ids[loc:min(loc + size, len(ids))]
-    uniq, counts = np.unique(window, return_counts=True)
-    return SparseVector(vocab_size, uniq, counts.astype(float))
 
 
 def target_vocab(vocab: Vocabulary, stop: StopwordList, size_limit: int) -> Vocabulary:

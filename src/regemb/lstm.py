@@ -29,12 +29,8 @@ import numpy as np
 from .numkernel import (
     ColumnGrad,
     RngSpec,
-    SparseVector,
-    affine_dense,
-    affine_sparse,
     by_doc,
     gaussian_init,
-    real_dtype,
     scatter_add_columns,
     side_by_side,
     sigmoid,
@@ -131,17 +127,6 @@ def gate_tensors(params, prefix="", grads=None):
             yield f"{prefix}side.{sp.tv_id}.{g}", w[block]
 
 
-@dataclass
-class LstmState:
-    c: np.ndarray
-    h: np.ndarray
-
-    @classmethod
-    def zeros(cls, units, dtype=None) -> "LstmState":
-        dt = dtype if dtype is not None else real_dtype()
-        return cls(np.zeros(units, dtype=dt), np.zeros(units, dtype=dt))
-
-
 @dataclass(frozen=True)
 class GateOverride:
     """Replace the input and/or output gate values with all-ones vectors."""
@@ -163,34 +148,6 @@ class LstmGrads:
     wh: np.ndarray
     bias: np.ndarray
     side: list  # per side channel, (rows, dim)
-
-
-def lstm_step(params, x, prev: LstmState, side_vals=(), override=None) -> LstmState:
-    """One recurrence step; reference implementation for the batched engine."""
-    x_dim = x.dim if isinstance(x, SparseVector) else np.asarray(x).shape[0]
-    if x_dim != params.input_dim:
-        raise ValueError(f"input dim {x_dim} != params input_dim {params.input_dim}")
-    if len(side_vals) != len(params.side):
-        raise ValueError(f"expected {len(params.side)} side inputs, got {len(side_vals)}")
-    if isinstance(x, SparseVector):
-        pre = affine_sparse(params.wx, params.bias, x)
-    else:
-        pre = affine_dense(params.wx, params.bias, np.asarray(x))
-    pre = pre + params.wh @ prev.h
-    for sp, val in zip(params.side, side_vals):
-        pre = pre + sp.w @ val
-    rows = _gate_rows(params)
-    f = sigmoid(pre[rows["f"]])
-    u = np.tanh(pre[rows["u"]])
-    if params.variant == "simplified":
-        c = u + f * prev.c
-        return LstmState(c, np.tanh(c))
-    ov = override or GateOverride()
-    ones = np.ones(params.units, dtype=params.dtype)
-    i = ones if ov.input_gate_one else sigmoid(pre[rows["i"]])
-    o = ones if ov.output_gate_one else sigmoid(pre[rows["o"]])
-    c = i * u + f * prev.c
-    return LstmState(c, o * np.tanh(c))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +331,8 @@ def batch_backward_docs(run, upstreams, want_input_grad=False):
     """Exact BPTT over a batch_forward_docs pass.
 
     upstreams: per document dL/dh (units, T), indexed by position.
-    Returns (LstmGrads, per-document (input_dim, T) input gradients, or
-    None unless requested; dense inputs only).
+    Returns (LstmGrads, the (input_dim, N) input gradient of the documents
+    side by side, or None unless requested; dense inputs only).
     """
     params = run.params
     units = params.units
@@ -428,13 +385,12 @@ def batch_backward_docs(run, upstreams, want_input_grad=False):
         wx = flat.T @ run.x_flat
     grads = LstmGrads(wx, flat.T @ run.h[run.t_idx, :, run.k_idx],
                       flat.sum(axis=0), [flat.T @ sv for sv in run.sv_flat])
-    input_grads = None
+    dx = None
     if want_input_grad:
         # a warm-up position is read by two segments; their terms add up
         dx = np.zeros((params.input_dim, up_all.shape[1]), dtype=dt)
         scatter_add_columns(dx, run.src, (flat @ params.wx).T)
-        input_grads = by_doc(dx, run.totals)
-    return grads, input_grads
+    return grads, dx
 
 
 # ---------------------------------------------------------------------------

@@ -278,16 +278,16 @@ def _branch_backward(branch, prefix, run, docs, dh_docs, grads: dict):
     want_emb = branch.embedding is not None and branch.train_embedding
     row_split = np.cumsum([0] + [p.units for _, p, _ in parts])
     if want_emb:
-        emb_grad = ColumnGrad.over(branch.embedding.shape,
-                                   [doc.ids for doc in docs],
-                                   branch.embedding.dtype)
+        # the input gradient's columns are the documents side by side
+        ids = np.concatenate([doc.ids for doc in docs])
+        emb_grad = ColumnGrad.over(branch.embedding.shape, [ids], branch.embedding.dtype)
+        slots = emb_grad.slots(ids)
         grads[f"{prefix}.emb"] = emb_grad
     for pi, ((tag, params, _), part_run) in enumerate(zip(parts, run)):
         ups = [dh[row_split[pi]:row_split[pi + 1]] for dh in dh_docs]
         lg, dx = lstm_mod.batch_backward_docs(part_run, ups, want_input_grad=want_emb)
         if want_emb:
-            for doc, dx_doc in zip(docs, dx):
-                scatter_add_columns(emb_grad.block, emb_grad.slots(doc.ids), dx_doc)
+            scatter_add_columns(emb_grad.block, slots, dx)
         grads.update(lstm_mod.gate_tensors(params, f"{prefix}.{tag}.", lg))
 
 

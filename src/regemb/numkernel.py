@@ -1,9 +1,10 @@
-"""Dense and sparse numeric primitives used by every layer.
+"""Numeric helpers shared by the document engines and the optimizer.
 
-Dense matrices and vectors are plain numpy arrays in row-major (C) order.
 A single process-wide precision mode selects float64 (gradient checks and
 most tests) or float32 (training runs); arrays are allocated in whichever
-mode is active at creation time, never mixed per-tensor.
+mode is active at creation time, never mixed per-tensor.  Besides the
+precision mode: seeded rng streams, the column scatter, the side-by-side
+document layout, and ColumnGrad, the one sparse type.
 """
 
 from __future__ import annotations
@@ -75,92 +76,11 @@ class RngSpec:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse vector with strictly increasing indices and no stored zeros."""
-
-    dim: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=real_dtype())
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if idx.size:
-            if not np.all(np.diff(idx) > 0):
-                raise ValueError("sparse indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError(f"sparse index out of range for dim {self.dim}")
-            if np.any(val == 0):
-                raise ValueError("zero-valued entries must not be stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @classmethod
-    def one_hot(cls, dim: int, index: int, value: float = 1.0) -> "SparseVector":
-        return cls(dim, np.array([index]), np.array([value]))
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def densify(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=real_dtype())
-        out[self.indices] = self.values
-        return out
-
-
-def affine_sparse(w: np.ndarray, b: np.ndarray, s: SparseVector) -> np.ndarray:
-    """w @ s + b via column gathers; cost proportional to nnz(s) * w.shape[0]."""
-    if w.shape[1] != s.dim:
-        raise ValueError(f"matrix has {w.shape[1]} cols, sparse input has dim {s.dim}")
-    if w.shape[0] != b.shape[0]:
-        raise ValueError(f"matrix has {w.shape[0]} rows, bias has dim {b.shape[0]}")
-    out = np.array(b, copy=True)
-    if s.nnz:
-        out += w[:, s.indices] @ s.values
-    return out
-
-
-def affine_dense(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if w.shape[1] != v.shape[0]:
-        raise ValueError(f"matrix has {w.shape[1]} cols, input has dim {v.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ValueError(f"matrix has {w.shape[0]} rows, bias has dim {b.shape[0]}")
-    return w @ v + b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp may overflow to inf for very negative x; 1/(1+inf) -> 0 is the
     # value we want, so silence only that warning.
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x)))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0)
-
-
-def elementwise(kind: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    a = np.asarray(a)
-    if kind in ("hadamard", "add"):
-        if b is None:
-            raise ValueError(f"{kind} needs two operands")
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-        return a * b if kind == "hadamard" else a + b
-    if b is not None:
-        raise ValueError(f"{kind} takes one operand")
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "relu":
-        return relu(a)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 def gaussian_init(rows: int, cols: int, std: float, rng) -> np.ndarray:

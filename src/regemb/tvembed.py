@@ -24,7 +24,6 @@ from .errors import DataError
 from .numkernel import (
     ColumnGrad,
     RngSpec,
-    SparseVector,
     gaussian_init,
     scatter_add_columns,
 )
@@ -131,68 +130,6 @@ class TvEmbedding:
         out = np.zeros_like(mat)
         out[:, outputs if to_output else starts] = mat[:, starts if to_output else outputs]
         return out
-
-
-def tv_targets(ids_or_seq, t: int, spec: TvObjectiveSpec) -> SparseVector:
-    """Bow vector (over the target vocabulary) of the k words after position t
-    (forward) or before it (backward); truncated at document bounds."""
-    ids = as_ids(ids_or_seq)
-    if not 0 <= t < len(ids):
-        raise ValueError(f"position {t} out of range for length {len(ids)}")
-    if spec.direction == "forward":
-        window = ids[t + 1:t + 1 + spec.k_next]
-    else:
-        window = ids[max(0, t - spec.k_next):t]
-    mapped = spec.target_map[window]
-    mapped = mapped[mapped >= 0]
-    dim = len(spec.target_vocab)
-    if mapped.size == 0:
-        return SparseVector(dim, np.zeros(0, np.int64), np.zeros(0))
-    uniq, counts = np.unique(mapped, return_counts=True)
-    return SparseVector(dim, uniq, counts.astype(float))
-
-
-def sample_negative_weights(z: SparseVector, neg_samples: int, gen) -> SparseVector:
-    """0/1 weight mask: all positives plus `neg_samples` distinct zero coords."""
-    zero_count = z.dim - z.nnz
-    if neg_samples >= zero_count:
-        idx = np.arange(z.dim)
-    else:
-        chosen = set()
-        exclude = set(int(i) for i in z.indices)
-        while len(chosen) < neg_samples:
-            draw = gen.integers(0, z.dim, size=2 * (neg_samples - len(chosen)) + 4)
-            for v in draw:
-                v = int(v)
-                if v not in exclude and v not in chosen:
-                    chosen.add(v)
-                    if len(chosen) == neg_samples:
-                        break
-        idx = np.sort(np.concatenate([z.indices, np.fromiter(chosen, np.int64,
-                                                             len(chosen))]))
-    return SparseVector(z.dim, idx, np.ones(idx.size))
-
-
-def weighted_square_loss(p: np.ndarray, z: SparseVector, weights: SparseVector):
-    """sum_j alpha_j (z_j - p_j)^2 plus its dense gradient w.r.t. p.
-
-    The gradient is supported only on coordinates with nonzero alpha, which
-    is what makes negative sampling cheap.
-    """
-    if p.shape[0] != z.dim or z.dim != weights.dim:
-        raise ValueError(f"dims differ: p {p.shape[0]}, z {z.dim}, weights {weights.dim}")
-    idx = weights.indices
-    z_at = np.zeros(idx.size, dtype=p.dtype)
-    if z.nnz:
-        pos = np.searchsorted(z.indices, idx)
-        pos = np.clip(pos, 0, z.nnz - 1)
-        hit = z.indices[pos] == idx
-        z_at[hit] = z.values[pos[hit]]
-    diff = p[idx] - z_at
-    loss = float(np.sum(weights.values * diff * diff))
-    grad = np.zeros_like(p)
-    grad[idx] = 2.0 * weights.values * diff
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

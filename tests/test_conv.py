@@ -3,9 +3,11 @@ import pytest
 
 import regemb.conv as conv_mod
 from regemb.conv import ConvParams, backward_from_mask, conv_forward
-from regemb.corpus import TokenSequence, region_bow, region_concat
+from regemb.corpus import TokenSequence
 from regemb.lstm import SideInputParams
-from regemb.numkernel import RngSpec, relu, scatter_add_columns
+from regemb.numkernel import RngSpec, scatter_add_columns
+
+from oracles import region_vector
 
 
 def random_conv(rng, maps, region, input_kind, vocab, n_side=0, side_dim=2, scale=0.5):
@@ -39,16 +41,15 @@ def batch_loss(p, docs, sides, ups):
 
 class TestConvForward:
     def test_matches_per_location_region_vectors(self):
-        # oracle: out[:, l] = relu(w @ region_vec(l) + b) via the corpus ops
+        # oracle: out[:, l] = relu(w @ region_vector(l) + b)
         rng = np.random.default_rng(0)
         for input_kind in ("seq", "bow"):
             p = random_conv(rng, 3, 3, input_kind, 5)
             ids = rng.integers(0, 5, size=7)
             out = forward_one(p, ids)
-            build = region_concat if input_kind == "seq" else region_bow
             for loc in range(7):
-                x = build(ids, loc, 3, 5).densify()
-                np.testing.assert_allclose(out[:, loc], relu(p.w @ x + p.b),
+                x = region_vector(ids, loc, 3, 5, input_kind)
+                np.testing.assert_allclose(out[:, loc], np.maximum(p.w @ x + p.b, 0),
                                            rtol=1e-12, atol=1e-12)
 
     def test_region_one_seq_equals_bow(self):
@@ -186,7 +187,6 @@ class TestConvEngine:
     @pytest.mark.parametrize("input_kind", ["seq", "bow"])
     @pytest.mark.parametrize("n_side", [0, 2])
     def test_outputs_match_per_location_oracle(self, input_kind, n_side):
-        build = region_concat if input_kind == "seq" else region_bow
         for region in range(1, 6):
             rng = np.random.default_rng(100 + region)
             p = random_conv(rng, 3, region, input_kind, 6, n_side)
@@ -195,10 +195,10 @@ class TestConvEngine:
             for i, ids in enumerate(id_list):
                 assert outs[i].shape == (3, len(ids))
                 for loc in range(len(ids)):
-                    pre = p.w @ build(ids, loc, region, 6).densify() + p.b
+                    pre = p.w @ region_vector(ids, loc, region, 6, input_kind) + p.b
                     for sp, sv in zip(p.side, sides[i] if sides else ()):
                         pre += sp.w @ sv[:, loc]
-                    np.testing.assert_allclose(outs[i][:, loc], relu(pre),
+                    np.testing.assert_allclose(outs[i][:, loc], np.maximum(pre, 0),
                                                rtol=1e-12, atol=1e-12)
                 if not n_side:  # the batch changes no document's bytes
                     np.testing.assert_array_equal(outs[i], forward_one(p, ids))

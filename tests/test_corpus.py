@@ -13,14 +13,14 @@ from regemb.corpus import (
     load_dataset,
     load_label_file,
     load_token_file,
-    region_bow,
-    region_concat,
     split_pretokenized,
     target_vocab,
     tokenize,
 )
 from regemb.errors import DataError
 from regemb.lstm import plan_segments
+
+from oracles import region_vector
 
 
 class TestTokenize:
@@ -96,48 +96,37 @@ class TestEncode:
 
 
 class TestRegionConcat:
+    """The seq region vector the conv engine tests compare against."""
+
     def test_basic(self):
-        s = region_concat(np.array([0, 1, 2]), 0, 2, 3)
-        assert s.dim == 6
-        np.testing.assert_array_equal(s.indices, [0, 4])
-        np.testing.assert_array_equal(s.values, [1, 1])
+        x = region_vector(np.array([0, 1, 2]), 0, 2, 3, "seq")
+        np.testing.assert_array_equal(x, [1, 0, 0, 0, 1, 0])
 
     def test_right_edge_padded(self):
-        s = region_concat(np.array([2]), 0, 2, 3)
-        assert s.dim == 6
-        np.testing.assert_array_equal(s.indices, [2])
+        x = region_vector(np.array([2]), 0, 2, 3, "seq")
+        np.testing.assert_array_equal(x, [0, 0, 1, 0, 0, 0])
 
     def test_size_one_is_one_hot(self):
         ids = np.array([1, 2, 0])
         for loc in range(3):
-            s = region_concat(ids, loc, 1, 3)
-            np.testing.assert_array_equal(s.densify(),
+            np.testing.assert_array_equal(region_vector(ids, loc, 1, 3, "seq"),
                                           np.eye(3)[ids[loc]])
-
-    def test_loc_out_of_range(self):
-        with pytest.raises(ValueError):
-            region_concat(np.array([0, 1]), 2, 1, 3)
-        with pytest.raises(ValueError):
-            region_concat(np.array([0, 1]), -1, 1, 3)
 
 
 class TestRegionBow:
     def test_counts(self):
-        s = region_bow(np.array([0, 1, 0]), 0, 3, 3)
-        np.testing.assert_array_equal(s.indices, [0, 1])
-        np.testing.assert_array_equal(s.values, [2, 1])
+        x = region_vector(np.array([0, 1, 0]), 0, 3, 3, "bow")
+        np.testing.assert_array_equal(x, [2, 1, 0])
 
     def test_size_one_equals_concat(self):
         ids = np.array([2, 0, 1])
         for loc in range(3):
-            a = region_bow(ids, loc, 1, 3)
-            b = region_concat(ids, loc, 1, 3)
-            np.testing.assert_array_equal(a.densify(), b.densify())
+            np.testing.assert_array_equal(region_vector(ids, loc, 1, 3, "bow"),
+                                          region_vector(ids, loc, 1, 3, "seq"))
 
     def test_window_truncated_at_end(self):
-        s = region_bow(np.array([0, 1]), 1, 5, 3)
-        np.testing.assert_array_equal(s.indices, [1])
-        np.testing.assert_array_equal(s.values, [1])
+        x = region_vector(np.array([0, 1]), 1, 5, 3, "bow")
+        np.testing.assert_array_equal(x, [0, 1, 0])
 
 
 class TestChop:
@@ -181,10 +170,12 @@ class TestTargetVocab:
         with pytest.raises(DataError):
             target_vocab(v, StopwordList(frozenset({"the", "a"})), 10)
 
-    def test_default_list_is_lowercase(self):
-        stop = StopwordList.default()
-        assert all(w == w.lower() for w in stop.words)
-        assert "the" in stop
+    def test_stopwords_are_lowercased(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("The\nA\n\nof\n", encoding="utf-8")
+        stop = StopwordList.from_file(path)
+        assert stop.words == frozenset({"the", "a", "of"})
+        assert "the" in stop and "The" not in stop
 
 
 class TestVocabularyFile:

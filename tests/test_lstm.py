@@ -5,17 +5,16 @@ from regemb.corpus import TokenSequence
 from regemb.lstm import (
     GateOverride,
     LstmParams,
-    LstmState,
     SideInputParams,
     batch_backward_docs,
     batch_forward_docs,
     fold_embedding,
     forward_sequence,
-    lstm_step,
     plan_segments,
     sequence_gradients,
 )
-from regemb.numkernel import RngSpec, SparseVector
+
+from oracles import lstm_step, one_hot
 
 
 def random_params(rng, variant, units, input_dim, input_kind="one-hot",
@@ -54,22 +53,23 @@ def rel_err(a, n):
 
 
 class TestLstmStep:
+    """The step oracle itself, against hand-evaluated and exact cases."""
+
     def test_zero_weight_fixed_point(self):
         rng = np.random.default_rng(0)
         p = random_params(rng, "simplified", 3, 4, scale=0.0)
-        st = lstm_step(p, SparseVector.one_hot(4, 2), LstmState.zeros(3))
-        np.testing.assert_array_equal(st.c, np.zeros(3))
-        np.testing.assert_array_equal(st.h, np.zeros(3))
+        c, h = lstm_step(p, one_hot(4, 2), np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(c, np.zeros(3))
+        np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_scalar_cell_hand_evaluated(self):
         # f = sig(0) = 0.5, u = 0, c = 0 + 0.5*2 = 1, h = tanh(1)
         rng = np.random.default_rng(0)
         p = random_params(rng, "simplified", 1, 2, scale=0.0)
-        st = lstm_step(p, SparseVector.one_hot(2, 0),
-                       LstmState(np.array([2.0]), np.array([0.0])))
-        np.testing.assert_allclose(st.c, [1.0])
-        np.testing.assert_allclose(st.h, [0.7615941], atol=1e-7)
-        np.testing.assert_array_equal(st.h, np.tanh(st.c))
+        c, h = lstm_step(p, one_hot(2, 0), np.array([2.0]), np.array([0.0]))
+        np.testing.assert_allclose(c, [1.0])
+        np.testing.assert_allclose(h, [0.7615941], atol=1e-7)
+        np.testing.assert_array_equal(h, np.tanh(c))
 
     def test_gate_override_matches_simplified(self):
         rng = np.random.default_rng(1)
@@ -81,33 +81,21 @@ class TestLstmStep:
             full.wx[8:] = simple.wx
             full.wh[8:] = simple.wh
             full.bias[8:] = simple.bias
-            prev = LstmState(rr.standard_normal(4), np.tanh(rr.standard_normal(4)))
-            x = SparseVector.one_hot(6, int(rr.integers(0, 6)))
+            c, h = rr.standard_normal(4), np.tanh(rr.standard_normal(4))
+            x = one_hot(6, int(rr.integers(0, 6)))
             ov = GateOverride(input_gate_one=True, output_gate_one=True)
-            a = lstm_step(full, x, prev, override=ov)
-            b = lstm_step(simple, x, prev)
-            np.testing.assert_array_equal(a.c, b.c)
-            np.testing.assert_array_equal(a.h, b.h)
+            a = lstm_step(full, x, c, h, override=ov)
+            b = lstm_step(simple, x, c, h)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
     def test_dense_input(self):
         rng = np.random.default_rng(2)
         p = random_params(rng, "full", 3, 5, input_kind="dense")
         x = rng.standard_normal(5)
-        st = lstm_step(p, x, LstmState.zeros(3))
-        assert st.h.shape == (3,)
-        assert np.all(np.abs(st.h) < 1)
-
-    def test_side_count_checked(self):
-        rng = np.random.default_rng(3)
-        p = random_params(rng, "simplified", 2, 3, n_side=1)
-        with pytest.raises(ValueError):
-            lstm_step(p, SparseVector.one_hot(3, 0), LstmState.zeros(2))
-
-    def test_input_dim_checked(self):
-        rng = np.random.default_rng(3)
-        p = random_params(rng, "simplified", 2, 3)
-        with pytest.raises(ValueError):
-            lstm_step(p, SparseVector.one_hot(4, 0), LstmState.zeros(2))
+        _, h = lstm_step(p, x, np.zeros(3), np.zeros(3))
+        assert h.shape == (3,)
+        assert np.all(np.abs(h) < 1)
 
 
 class TestForwardSequence:
@@ -119,11 +107,10 @@ class TestForwardSequence:
             ids = rng.integers(0, 5, size=6)
             side = [rng.standard_normal((2, 6))]
             h = forward_sequence(p, ids, side_seq=side)
-            st = LstmState.zeros(3)
+            c, h_t = np.zeros(3), np.zeros(3)
             for t, i in enumerate(ids):
-                st = lstm_step(p, SparseVector.one_hot(5, int(i)), st,
-                               side_vals=[side[0][:, t]])
-                np.testing.assert_allclose(h[:, t], st.h, rtol=1e-12, atol=1e-14)
+                c, h_t = lstm_step(p, one_hot(5, i), c, h_t, side_vals=[side[0][:, t]])
+                np.testing.assert_allclose(h[:, t], h_t, rtol=1e-12, atol=1e-14)
 
     def test_empty_sequence(self):
         rng = np.random.default_rng(0)
@@ -257,19 +244,18 @@ class TestBatchEngine:
 def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
     """lstm_step loop over one document: the state resets at every segment
     start, and only positions past a segment's warm-up keep their output."""
-    one_hot = p.input_kind == "one-hot"
-    total = len(inputs) if one_hot else inputs.shape[1]
+    is_one_hot = p.input_kind == "one-hot"
+    total = len(inputs) if is_one_hot else inputs.shape[1]
     seg_len = seg_len or max(total, 1)
     h = np.zeros((p.units, total))
     for emit in range(0, total, seg_len):
-        st = LstmState.zeros(p.units, p.dtype)
+        c = h_t = np.zeros(p.units)
         for r in range(max(emit - overlap, 0), min(emit + seg_len, total)):
             t = total - 1 - r if reverse else r
-            x = SparseVector.one_hot(p.input_dim, int(inputs[t])) if one_hot \
-                else inputs[:, t]
-            st = lstm_step(p, x, st, side_vals=[sv[:, t] for sv in sides])
+            x = one_hot(p.input_dim, inputs[t]) if is_one_hot else inputs[:, t]
+            c, h_t = lstm_step(p, x, c, h_t, side_vals=[sv[:, t] for sv in sides])
             if r >= emit:
-                h[:, t] = st.h
+                h[:, t] = h_t
     return h
 
 
@@ -322,8 +308,10 @@ class TestEngineAgainstStepOracle:
         grads, dx = batch_backward_docs(run, ups, want_input_grad=dense)
         checked = [(name, arr, np.asarray(g)) for (name, arr), (_, g) in
                    zip(param_arrays(p), grad_arrays(p, grads))]
-        if dense:
-            checked += [(f"x{i}", d, g) for i, (d, g) in enumerate(zip(docs, dx))]
+        if dense:  # dx holds the documents side by side
+            bounds = np.cumsum([0] + [d.shape[1] for d in docs])
+            checked += [(f"x{i}", d, dx[:, lo:hi]) for i, (d, lo, hi) in
+                        enumerate(zip(docs, bounds[:-1], bounds[1:]))]
         for name, arr, analytic in checked:
             flat, aflat = arr.reshape(-1), analytic.reshape(-1)
             for c in range(flat.size):
@@ -396,8 +384,7 @@ class TestSequenceGradients:
         x = rng.standard_normal((4, 5))
         upstream = rng.standard_normal((3, 5))
         _, run = batch_forward_docs(p, [x])
-        _, dx_docs = batch_backward_docs(run, [upstream], want_input_grad=True)
-        dx = dx_docs[0]
+        _, dx = batch_backward_docs(run, [upstream], want_input_grad=True)
         flat = x.reshape(-1)
         dflat = dx.reshape(-1)
         for c in range(flat.size):

@@ -23,7 +23,7 @@ from regemb.model import (
     region_bounds,
     square_loss,
 )
-from regemb.numkernel import RngSpec, relu
+from regemb.numkernel import RngSpec
 
 
 def make_lstm_branch(rng, direction="bidirectional", units=3, vocab=6,

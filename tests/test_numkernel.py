@@ -4,11 +4,7 @@ import pytest
 from regemb.errors import NumericError
 from regemb.numkernel import (
     RngSpec,
-    SparseVector,
-    affine_dense,
-    affine_sparse,
     assert_finite,
-    elementwise,
     gaussian_init,
     get_precision,
     mapped_empty,
@@ -61,130 +57,14 @@ class TestRngSpec:
             RngSpec(0, algorithm="mt19937")
 
 
-class TestSparseVector:
-    def test_one_hot(self):
-        s = SparseVector.one_hot(4, 2)
-        np.testing.assert_array_equal(s.densify(), [0, 0, 1, 0])
-        assert s.nnz == 1
-
-    def test_indices_must_increase(self):
-        with pytest.raises(ValueError):
-            SparseVector(4, np.array([2, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SparseVector(4, np.array([1, 1]), np.array([1.0, 1.0]))
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(4, np.array([4]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            SparseVector(4, np.array([-1]), np.array([1.0]))
-
-    def test_no_stored_zeros(self):
-        with pytest.raises(ValueError):
-            SparseVector(4, np.array([1]), np.array([0.0]))
-
-    def test_empty_is_fine(self):
-        s = SparseVector(4, np.zeros(0, np.int64), np.zeros(0))
-        np.testing.assert_array_equal(s.densify(), np.zeros(4))
-
-
-class TestAffineSparse:
-    def test_one_hot_selects_column(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.zeros(2)
-        s = SparseVector(2, np.array([1]), np.array([1.0]))
-        np.testing.assert_array_equal(affine_sparse(w, b, s), [2, 4])
-
-    def test_sum_of_columns_plus_bias(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.ones(2)
-        s = SparseVector(2, np.array([0, 1]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(affine_sparse(w, b, s), [4, 8])
-
-    def test_empty_input_gives_bias(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([5.0, -1.0])
-        s = SparseVector(2, np.zeros(0, np.int64), np.zeros(0))
-        np.testing.assert_array_equal(affine_sparse(w, b, s), b)
-
-    def test_dimension_mismatch(self):
-        w = np.zeros((2, 3))
-        with pytest.raises(ValueError):
-            affine_sparse(w, np.zeros(2), SparseVector.one_hot(4, 0))
-        with pytest.raises(ValueError):
-            affine_sparse(w, np.zeros(3), SparseVector.one_hot(3, 0))
-
-    def test_matches_dense_on_random_inputs(self):
-        # property: affine_sparse(w, b, s) == affine_dense(w, b, densify(s))
-        rng = np.random.default_rng(0)
-        for _ in range(120):
-            rows = int(rng.integers(1, 8))
-            dim = int(rng.integers(1, 12))
-            w = rng.standard_normal((rows, dim))
-            b = rng.standard_normal(rows)
-            nnz = int(rng.integers(0, dim + 1))
-            idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-            val = rng.standard_normal(nnz)
-            val[val == 0] = 1.0
-            s = SparseVector(dim, idx, val)
-            np.testing.assert_allclose(affine_sparse(w, b, s),
-                                       affine_dense(w, b, s.densify()),
-                                       rtol=1e-12, atol=1e-12)
-
-
-class TestAffineDense:
-    def test_identity(self):
-        w = np.eye(2)
-        np.testing.assert_array_equal(
-            affine_dense(w, np.zeros(2), np.array([5.0, 7.0])), [5, 7])
-
-    def test_small(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(
-            affine_dense(w, np.zeros(2), np.ones(2)), [3, 7])
-
-    def test_scalar(self):
-        np.testing.assert_array_equal(
-            affine_dense(np.array([[2.0]]), np.array([-1.0]), np.array([3.0])), [5])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            affine_dense(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
-
-
-class TestElementwise:
-    def test_sigmoid_at_zero(self):
-        np.testing.assert_array_equal(elementwise("sigmoid", np.array([0.0])), [0.5])
-
-    def test_tanh_at_zero(self):
-        np.testing.assert_array_equal(elementwise("tanh", np.array([0.0])), [0.0])
-
-    def test_hadamard(self):
-        np.testing.assert_array_equal(
-            elementwise("hadamard", np.array([2.0, 3.0]), np.array([4.0, -1.0])),
-            [8, -3])
-
-    def test_add(self):
-        np.testing.assert_array_equal(
-            elementwise("add", np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4, 6])
-
-    def test_binary_needs_matching_dims(self):
-        with pytest.raises(ValueError):
-            elementwise("hadamard", np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError):
-            elementwise("add", np.zeros(2))
-
+class TestSigmoid:
     def test_ranges_on_extreme_inputs(self):
         x = np.array([-1e6, -50.0, -1.0, 0.0, 1.0, 50.0, 1e6])
-        s = elementwise("sigmoid", x)
+        s = sigmoid(x)
         assert np.all((s >= 0) & (s <= 1)) and np.all(np.isfinite(s))
-        assert 0 < s[2] < 1 and 0 < s[4] < 1
-        t = elementwise("tanh", x)
-        assert np.all((t >= -1) & (t <= 1))
-        r = elementwise("relu", x)
-        assert np.all(r >= 0)
+        assert 0 < s[2] < 1 and 0 < s[4] < 1 and s[3] == 0.5
 
-    def test_sigmoid_open_interval_where_representable(self):
+    def test_open_interval_where_representable(self):
         # beyond |x| ~ 37 the float64 result saturates to exactly 0 or 1
         rng = np.random.default_rng(3)
         x = rng.uniform(-30, 30, size=1000)
@@ -192,10 +72,6 @@ class TestElementwise:
         assert np.all(s > 0) and np.all(s < 1)
         t = np.tanh(rng.uniform(-15, 15, size=1000))
         assert np.all(t > -1) and np.all(t < 1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementwise("softplus", np.zeros(2))
 
 
 class TestGaussianInit:

@@ -145,7 +145,7 @@ class TestEmbeddingColumnGrad:
         spec = _embedding_model(gen, vocab)
         docs = [TokenSequence(ids, label=int(gen.integers(0, 2)))
                 for ids in _docs(gen, 5, vocab, lo=2)]
-        scattered = []  # input gradients per part and document
+        scattered = []  # the input gradient of each part
 
         def recording(dest, idx, cols):
             scattered.append(cols.copy())
@@ -155,10 +155,10 @@ class TestEmbeddingColumnGrad:
         _, grads = batch_forward_backward(spec, docs, [d.label for d in docs])
         emb_grad = grads["br0.emb"]
         assert isinstance(emb_grad, ColumnGrad)
+        assert len(scattered) == 2  # one scatter per part
         dense = np.zeros_like(spec.branches[0].embedding)
-        order = [d.ids for d in docs] * 2  # both parts, columns in position order
-        assert len(scattered) == len(order)
-        for ids, cols in zip(order, scattered):
+        ids = np.concatenate([d.ids for d in docs])  # the documents side by side
+        for cols in scattered:
             scatter_add_columns(dense, ids, cols)
         np.testing.assert_array_equal(np.asarray(emb_grad), dense)
 

@@ -5,21 +5,19 @@ from regemb import conv as conv_mod
 from regemb import lstm as lstm_mod
 from regemb.corpus import Dataset, StopwordList, TokenSequence, Vocabulary, target_vocab
 from regemb.errors import DataError
-from regemb.numkernel import ColumnGrad, RngSpec, SparseVector, precision
+from regemb.numkernel import ColumnGrad, RngSpec, precision
 from regemb.optim import TrainConfig
 from regemb.tvembed import (
     TvEmbedding,
     TvObjectiveSpec,
     _collect_targets,
     _Head,
+    _head_terms,
     _sample_negatives_flat,
     apply_tv,
     attach,
-    sample_negative_weights,
     train_tv_cnn,
     train_tv_lstm,
-    tv_targets,
-    weighted_square_loss,
 )
 
 
@@ -37,19 +35,32 @@ def successor_corpus(vocab_size=10, n_docs=200, doc_len=12, seed=0):
     return Dataset(docs, 0, [])
 
 
+def _lstm_targets(ids, spec):
+    """The LSTM-form targets of one document: {position: (target ids,
+    counts)} for every position with a nonempty target."""
+    tgt = _collect_targets([np.asarray(ids)], spec, _bare_emb("lstm"))[0]
+    if tgt is None:
+        return {}
+    ends = np.cumsum(tgt.counts)
+    return {int(t): (tgt.flat_ids[e - n:e], tgt.flat_vals[e - n:e])
+            for t, n, e in zip(tgt.positions, tgt.counts, ends)}
+
+
 class TestTvTargets:
+    """What the tv-LSTM predicts at each position, as target collection
+    finds it."""
+
     def test_next_two_words(self):
         vocab = full_vocab(10)
         spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=0)
-        z = tv_targets(np.array([5, 9, 2, 7]), 0, spec)
-        np.testing.assert_array_equal(z.indices, [2, 9])
-        np.testing.assert_array_equal(z.values, [1, 1])
+        ids, vals = _lstm_targets([5, 9, 2, 7], spec)[0]
+        np.testing.assert_array_equal(ids, [2, 9])
+        np.testing.assert_array_equal(vals, [1, 1])
 
     def test_last_position_is_empty(self):
         vocab = full_vocab(10)
         spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=0)
-        z = tv_targets(np.array([5, 9, 2, 7]), 3, spec)
-        assert z.nnz == 0
+        assert sorted(_lstm_targets([5, 9, 2, 7], spec)) == [0, 1, 2]
 
     def test_window_sizes_configurable(self):
         # protocol uses 5 for review data and 20 for news topics
@@ -57,102 +68,32 @@ class TestTvTargets:
         ids = np.arange(30)
         for k in (5, 20):
             spec = TvObjectiveSpec.build(vocab, vocab, k_next=k, neg_samples=0)
-            z = tv_targets(ids, 0, spec)
-            assert z.nnz == k
+            assert _lstm_targets(ids, spec)[0][0].size == k
 
     def test_backward_direction(self):
         vocab = full_vocab(10)
         spec = TvObjectiveSpec.build(vocab, vocab, k_next=2, neg_samples=0,
                                      direction="backward")
-        z = tv_targets(np.array([5, 9, 2, 7]), 2, spec)
-        np.testing.assert_array_equal(z.indices, [5, 9])
-        z0 = tv_targets(np.array([5, 9, 2, 7]), 0, spec)
-        assert z0.nnz == 0
+        found = _lstm_targets([5, 9, 2, 7], spec)
+        np.testing.assert_array_equal(found[2][0], [5, 9])
+        assert 0 not in found
 
     def test_restricted_to_target_vocab(self):
         source = full_vocab(6)
         target = Vocabulary(["w1", "w3"])
         spec = TvObjectiveSpec.build(source, target, k_next=3, neg_samples=0)
-        z = tv_targets(np.array([0, 1, 2, 3]), 0, spec)
-        np.testing.assert_array_equal(z.indices, [0, 1])  # target ids of w1, w3
+        ids, _ = _lstm_targets([0, 1, 2, 3], spec)[0]
+        np.testing.assert_array_equal(ids, [0, 1])  # target ids of w1, w3
 
     def test_no_stopwords_in_targets(self):
         source = Vocabulary(["the", "good", "movie"], freq=[5, 3, 2])
         tgt = target_vocab(source, StopwordList(frozenset({"the"})), 10)
         spec = TvObjectiveSpec.build(source, tgt, k_next=3, neg_samples=0)
-        stop_source_id = source.id_of("the")
         rng = np.random.default_rng(0)
         for _ in range(20):
-            ids = rng.integers(0, 3, size=6)
-            for t in range(6):
-                z = tv_targets(ids, t, spec)
-                for tid in z.indices:
-                    assert tgt.words[tid] != "the"
-        assert spec.target_map[stop_source_id] == -1
-
-    def test_position_out_of_range(self):
-        vocab = full_vocab(4)
-        spec = TvObjectiveSpec.build(vocab, vocab, k_next=1, neg_samples=0)
-        with pytest.raises(ValueError):
-            tv_targets(np.array([0, 1]), 2, spec)
-
-
-class TestWeightedSquareLoss:
-    def test_zero_at_exact_prediction(self):
-        z = SparseVector(5, np.array([1, 3]), np.array([2.0, 1.0]))
-        weights = SparseVector(5, np.arange(5), np.ones(5))
-        loss, grad = weighted_square_loss(z.densify(), z, weights)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(5))
-
-    def test_single_positive_single_negative(self):
-        p = np.zeros(3)
-        z = SparseVector(3, np.array([0]), np.array([1.0]))
-        weights = SparseVector(3, np.array([0, 2]), np.array([1.0, 1.0]))
-        loss, grad = weighted_square_loss(p, z, weights)
-        assert loss == 1.0
-        np.testing.assert_array_equal(grad, [-2.0, 0.0, 0.0])
-
-    def test_gradient_supported_on_weights_only(self):
-        rng = np.random.default_rng(1)
-        p = rng.standard_normal(8)
-        z = SparseVector(8, np.array([2, 5]), np.array([1.0, 2.0]))
-        weights = SparseVector(8, np.array([1, 2, 5]), np.ones(3))
-        _, grad = weighted_square_loss(p, z, weights)
-        assert set(np.nonzero(grad)[0]).issubset({1, 2, 5})
-
-    def test_exhaustive_weights_equal_plain_square_loss(self):
-        rng = np.random.default_rng(2)
-        p = rng.standard_normal(6)
-        z = SparseVector(6, np.array([1, 4]), np.array([1.0, 3.0]))
-        weights = sample_negative_weights(z, 6 - z.nnz, rng)
-        loss, _ = weighted_square_loss(p, z, weights)
-        np.testing.assert_allclose(loss, float(np.sum((z.densify() - p) ** 2)),
-                                   rtol=1e-12)
-
-    def test_dim_mismatch(self):
-        z = SparseVector(4, np.array([0]), np.array([1.0]))
-        w = SparseVector(4, np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            weighted_square_loss(np.zeros(5), z, w)
-
-
-class TestSampleNegatives:
-    def test_counts_and_exclusion(self):
-        rng = np.random.default_rng(3)
-        z = SparseVector(50, np.array([3, 10, 12]), np.ones(3))
-        for _ in range(20):
-            w = sample_negative_weights(z, 5, rng)
-            assert w.nnz == 8
-            assert set(z.indices).issubset(set(w.indices))
-            negatives = set(w.indices) - set(z.indices)
-            assert len(negatives) == 5
-
-    def test_exhaustive_when_requesting_all(self):
-        rng = np.random.default_rng(4)
-        z = SparseVector(10, np.array([0]), np.ones(1))
-        w = sample_negative_weights(z, 9, rng)
-        np.testing.assert_array_equal(w.indices, np.arange(10))
+            for ids, _ in _lstm_targets(rng.integers(0, 3, size=6), spec).values():
+                assert all(tgt.words[tid] != "the" for tid in ids)
+        assert spec.target_map[source.index["the"]] == -1
 
 
 class TestSampleNegativesFlat:
@@ -176,6 +117,38 @@ class TestSampleNegativesFlat:
                     np.testing.assert_array_equal(got, zeros)
                 else:
                     assert got.size == neg
+
+
+class TestHeadTerms:
+    def test_exhaustive_negatives_give_the_dense_targets(self):
+        # with neg at least the target dimension every position takes all its
+        # zero coordinates, so the head's loss is the plain square loss
+        # against the dense bow targets
+        source = full_vocab(9)
+        target = Vocabulary(["w0", "w2", "w3", "w5", "w6", "w8"])
+        dim = len(target)
+        spec = TvObjectiveSpec.build(source, target, k_next=2, neg_samples=dim)
+        rng = np.random.default_rng(1)
+        docs = [rng.integers(0, 9, size=n) for n in (7, 1, 12, 4)]
+        emb = _bare_emb("lstm")
+        batch = [t for t in _collect_targets(docs, spec, emb) if t is not None]
+        want = []  # per target position, its dense bow target
+        for ref in (_reference_targets(ids, spec, emb) for ids in docs):
+            if ref is not None:
+                _, counts, flat_ids, flat_vals = ref
+                dense = np.zeros((counts.size, dim))
+                dense[np.repeat(np.arange(counts.size), counts), flat_ids] = flat_vals
+                want.append(dense)
+        want = np.concatenate(want)
+        for neg in (dim, dim + 3):
+            coords, rows, zvals, n_pos = _head_terms(batch, dim, neg,
+                                                     np.random.default_rng(2))
+            assert n_pos == want.shape[0]
+            np.testing.assert_array_equal(np.sort(rows * dim + coords),
+                                          np.arange(n_pos * dim))
+            dense = np.zeros((n_pos, dim))
+            dense[rows, coords] = zvals
+            np.testing.assert_array_equal(dense, want)
 
 
 class TestTrainTvLstm:
@@ -416,23 +389,29 @@ def _bare_emb(kind, region=None, direction="forward"):
 
 
 def _reference_targets(ids, spec, emb):
-    """Per-position targets, one window at a time: tv_targets for the LSTM
-    form; for the CNN form, the k words on each side of the region starting
-    at l, placed at l + align_offset."""
-    found = []
+    """Per-position targets, one window at a time: for the LSTM form, the k
+    words after position t (forward) or before it (backward); for the CNN
+    form, the k words on each side of the region starting at l, placed at
+    l + align_offset.  Windows stop at the document's ends."""
+    k = spec.k_next
+    windows = []
     if emb.kind == "lstm":
         for t in range(len(ids)):
-            z = tv_targets(ids, t, spec)
-            found.append((t, z.indices, z.values))
+            window = ids[t + 1:t + 1 + k] if spec.direction == "forward" \
+                else ids[max(0, t - k):t]
+            windows.append((t, window))
     else:
-        k, size = spec.k_next, emb.region_size
+        size = emb.region_size
         for start in range(len(ids) - size + 1):
-            window = np.concatenate([ids[max(0, start - k):start],
-                                     ids[start + size:start + size + k]])
-            mapped = spec.target_map[window]
-            uniq, counts = np.unique(mapped[mapped >= 0], return_counts=True)
-            found.append((start + emb.align_offset, uniq, counts))
-    found = [(t, i, v) for t, i, v in found if len(i)]
+            windows.append((start + emb.align_offset,
+                            np.concatenate([ids[max(0, start - k):start],
+                                            ids[start + size:start + size + k]])))
+    found = []
+    for t, window in windows:
+        mapped = spec.target_map[window]
+        uniq, counts = np.unique(mapped[mapped >= 0], return_counts=True)
+        if uniq.size:
+            found.append((t, uniq, counts))
     if not found:
         return None
     return (np.array([t for t, _, _ in found], dtype=np.int64),
