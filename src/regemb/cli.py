@@ -9,6 +9,7 @@ given explicitly on the command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -80,11 +81,13 @@ def _add_optimizer(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="regemb",
+    # no abbreviated flags: _apply_config must see which flags were given
+    parser = _Parser(prog="regemb", allow_abbrev=False,
                      description="Text categorization with region embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("build-vocab", parents=[], help="build a vocabulary file")
+    p = add_parser("build-vocab", help="build a vocabulary file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--size", type=int, default=30000)
@@ -92,7 +95,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("train", help="train a classifier")
+    p = add_parser("train", help="train a classifier")
     p.add_argument("--arch", required=True, choices=ARCHES)
     p.add_argument("--units", type=int, default=None)
     p.add_argument("--maps", type=int, default=None)
@@ -123,7 +126,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("train-tv", help="train a two-view embedding on unlabeled text")
+    p = add_parser("train-tv", help="train a two-view embedding on unlabeled text")
     p.add_argument("--kind", required=True, choices=("lstm", "cnn"))
     p.add_argument("--direction", choices=("fwd", "bwd"), default="fwd")
     p.add_argument("--region", type=int, default=None)
@@ -141,20 +144,20 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_train_tv)
 
-    p = sub.add_parser("eval", help="error rate of a model on labeled data")
+    p = add_parser("eval", help="error rate of a model on labeled data")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--labels", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="print one class name per input line")
+    p = add_parser("predict", help="print one class name per input line")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p = add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--arch", choices=ARCHES, default="oh-2lstmp")
     p.add_argument("--units", type=int, default=3)
     p.add_argument("--maps", type=int, default=4)
@@ -218,7 +221,8 @@ def _set_precision_flag(args):
 
 def load_word_vectors(path, vocab, scale=1.0):
     """`word v1 v2 ... vd` lines -> (d, |V|) matrix in vocabulary column order;
-    words missing from the file get zero vectors."""
+    words missing from the file get zero vectors.  The vectors of vocabulary
+    words must be finite numbers."""
     from .numkernel import real_dtype
 
     rows = None
@@ -236,7 +240,13 @@ def load_word_vectors(path, vocab, scale=1.0):
             raise DataError(f"{path}: inconsistent vector width for {word!r}")
         wid = vocab.index.get(word)
         if wid is not None:
-            data[:, wid] = [float(v) for v in vals]
+            try:
+                data[:, wid] = [float(v) for v in vals]
+            except ValueError:
+                raise DataError(f"{path}: vector of {word!r} has an entry "
+                                "that is not a number") from None
+            if not np.isfinite(data[:, wid]).all():
+                raise DataError(f"{path}: vector of {word!r} has a non-finite entry")
             found += 1
     if data is None:
         raise DataError(f"{path}: no word vectors found")
@@ -502,11 +512,8 @@ def cmd_predict(args):
         raise DataError(f"{args.model}: model carries no vocabulary")
     token_docs = corpus.load_token_file(args.input, args.pretokenized)
     docs = [corpus.encode(toks, spec.vocab) for toks in token_docs]
-    for lo in range(0, len(docs), model_mod.SCORE_BLOCK):
-        chunk = docs[lo:lo + model_mod.SCORE_BLOCK]
-        scores = model_mod.batch_scores(spec, chunk)
-        for pred in np.argmax(scores, axis=0):
-            print(spec.class_names[pred])
+    for pred in np.argmax(model_mod.batch_scores(spec, docs), axis=0):
+        print(spec.class_names[pred])
     return 0
 
 

@@ -74,7 +74,10 @@ class Vocabulary:
         words = lines[1:]
         if len(words) != size:
             raise DataError(f"{path}: header says {size} words, file has {len(words)}")
-        return cls(words, size_limit=size)
+        try:
+            return cls(words, size_limit=size)
+        except ValueError as exc:  # a word listed twice
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .errors import DataError
 from .numkernel import ColumnGrad, RngSpec, gaussian_init, scatter_add_columns
 
 INIT_STD = 0.01
-# documents scored (and tv outputs computed) per batched pass in evaluation
+# documents scored (and their tv outputs computed) per batched pass
 SCORE_BLOCK = 512
 
 
@@ -337,11 +337,17 @@ def model_forward(spec: ModelSpec, doc, tv_outs=None) -> np.ndarray:
 
 
 def batch_scores(spec: ModelSpec, docs, tv_list=None) -> np.ndarray:
-    """Eval-mode scores for many documents: (n_classes, len(docs))."""
-    if tv_list is None:
-        tv_list = tv_output_list(spec, docs)
-    P, _ = _pooled_forward(spec, docs, tv_list, None, 0)
-    return spec.top.w @ P + spec.top.b[:, None]
+    """Eval-mode scores for many documents: (n_classes, len(docs)), scored
+    SCORE_BLOCK at a time, each block with its own frozen-embedding outputs
+    unless `tv_list` gives those of every document."""
+    scores = np.empty((spec.n_classes, len(docs)), dtype=spec.top.w.dtype)
+    for lo in range(0, len(docs), SCORE_BLOCK):
+        block = docs[lo:lo + SCORE_BLOCK]
+        block_tv = tv_output_list(spec, block) if tv_list is None \
+            else tv_list[lo:lo + SCORE_BLOCK]
+        P, _ = _pooled_forward(spec, block, block_tv, None, 0)
+        scores[:, lo:lo + SCORE_BLOCK] = spec.top.w @ P + spec.top.b[:, None]
+    return scores
 
 
 def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
@@ -375,20 +381,15 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
 
 
 def confusion(spec: ModelSpec, dataset, tv_list=None) -> np.ndarray:
-    """(true class, predicted class) document counts, scored in blocks."""
+    """(true class, predicted class) document counts."""
     docs = dataset.docs
     if not docs:
         raise DataError("cannot evaluate on an empty dataset")
     if any(doc.label is None for doc in docs):
         raise DataError("evaluation documents must all be labeled")
-    if tv_list is None:
-        tv_list = tv_output_list(spec, docs)
     counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
-    for lo in range(0, len(docs), SCORE_BLOCK):
-        chunk = docs[lo:lo + SCORE_BLOCK]
-        chunk_tv = tv_list[lo:lo + SCORE_BLOCK] if tv_list is not None else None
-        preds = np.argmax(batch_scores(spec, chunk, chunk_tv), axis=0)
-        np.add.at(counts, ([d.label for d in chunk], preds), 1)
+    np.add.at(counts, ([d.label for d in docs],
+                       np.argmax(batch_scores(spec, docs, tv_list), axis=0)), 1)
     return counts
 
 

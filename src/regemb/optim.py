@@ -1,8 +1,14 @@
 """Minibatch SGD (momentum / rmsprop), dropout masks, the training loop,
-and the finite-difference gradient-check oracle."""
+and the finite-difference gradient-check oracle.
+
+`run_epochs` is the one epoch loop: classifiers (`train`) and tv-embeddings
+(`tvembed`) each pass it their own per-minibatch step, and it owns the
+seeded shuffle, the per-epoch generator, minibatch slicing, the loss check,
+the update rule, the `epoch=` log line and the final parameter check."""
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -112,18 +118,6 @@ def dropout_mask(dim: int, rate: float, rng) -> np.ndarray:
     return keep.astype(real_dtype()) / (1.0 - rate)
 
 
-def check_loss(loss: float, epoch: int, batch_no: int) -> None:
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
-
-
-def check_params(named_params, epochs: int) -> None:
-    """Refuse parameters that the last update made non-finite, which no
-    later loss would show."""
-    for name, param in named_params:
-        assert_finite(param, f"{name} after epoch {epochs}")
-
-
 @dataclass
 class EpochLog:
     epoch: int
@@ -134,6 +128,47 @@ class EpochLog:
     def line(self) -> str:
         return (f"epoch={self.epoch} loss={self.loss:.6f} "
                 f"dev_err={self.dev_err:.4f} seconds={self.seconds:.3f}")
+
+
+def run_epochs(cfg: TrainConfig, n_items: int, step, params, *, stream: str,
+               eval_first=False, dev_err=None, saved=None, log_fn=None) -> list:
+    """Shuffled minibatch SGD over items 0..n_items-1; returns the epoch logs.
+
+    `step(take, gen, update)` runs minibatch `take` with the epoch's `stream`
+    generator; it returns (loss sum, weight, grads keyed like the (name,
+    array) pairs of `params`), applied in `params` order.  `eval_first` adds
+    an epoch 0 in item order that updates nothing.  `saved` (default
+    `params`) must end finite."""
+    rng = RngSpec(cfg.seed)
+    updater = Updater(cfg)
+    logs = []
+    for epoch in range(0 if eval_first else 1, cfg.epochs + 1):
+        started = time.perf_counter()
+        update = epoch > 0
+        order = rng.stream("shuffle", epoch).permutation(n_items) if update \
+            else np.arange(n_items)
+        gen = rng.stream(stream, epoch)
+        loss_sum = 0.0
+        weight = 0
+        for batch_no, lo in enumerate(range(0, n_items, cfg.minibatch)):
+            loss, n, grads = step(order[lo:lo + cfg.minibatch], gen, update)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            loss_sum += loss
+            weight += n
+            if update:
+                for name, param in params:
+                    updater.apply(name, param, grads[name])
+        entry = EpochLog(epoch, loss_sum / weight,
+                         dev_err() if dev_err is not None else float("nan"),
+                         time.perf_counter() - started)
+        logs.append(entry)
+        if log_fn is not None:
+            log_fn(entry.line())
+    # the last update can make a parameter non-finite that no loss shows
+    for name, param in saved if saved is not None else params:
+        assert_finite(param, f"{name} after epoch {cfg.epochs}")
+    return logs
 
 
 def train(spec, train_set, dev_set, cfg: TrainConfig, log_fn=None):
@@ -151,45 +186,23 @@ def train(spec, train_set, dev_set, cfg: TrainConfig, log_fn=None):
     if any(lab is None for lab in labels):
         raise ValueError("training documents must all be labeled")
     spec.top.dropout_rate = cfg.dropout_rate
-    rng = RngSpec(cfg.seed)
     tv_train = model_mod.tv_output_list(spec, docs)
-    tv_dev = model_mod.tv_output_list(spec, dev_set.docs) if dev_set is not None else None
-    updater = Updater(cfg)
-    doc_dim = spec.doc_dim
-    logs = []
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
-        order = rng.stream("shuffle", epoch).permutation(len(docs))
-        drop_gen = rng.stream("dropout", epoch)
-        loss_total = 0.0
-        for batch_no, lo in enumerate(range(0, len(docs), cfg.minibatch)):
-            take = order[lo:lo + cfg.minibatch]
-            bdocs = [docs[i] for i in take]
-            blabels = [labels[i] for i in take]
-            btv = [tv_train[i] for i in take] if tv_train is not None else None
-            masks = None
-            if cfg.dropout_rate > 0:
-                masks = np.stack(
-                    [dropout_mask(doc_dim, cfg.dropout_rate, drop_gen) for _ in bdocs],
-                    axis=1,
-                )
-            loss, grads = model_mod.batch_forward_backward(
-                spec, bdocs, blabels, chop_len=cfg.chop_len,
-                chop_overlap=cfg.chop_overlap, dropout_masks=masks, tv_list=btv,
-            )
-            check_loss(loss, epoch, batch_no)
-            for name, param in model_mod.iter_params(spec):
-                updater.apply(name, param, grads[name])
-            loss_total += loss * len(bdocs)
-        dev_err = float("nan")
-        if dev_set is not None and len(dev_set.docs):
-            dev_err = model_mod.error_rate(spec, dev_set, tv_list=tv_dev)
-        entry = EpochLog(epoch, loss_total / len(docs), dev_err,
-                         time.perf_counter() - started)
-        logs.append(entry)
-        if log_fn is not None:
-            log_fn(entry.line())
-    check_params(model_mod.iter_params(spec), cfg.epochs)
+    dev_err = None
+    if dev_set is not None and len(dev_set.docs):
+        dev_err = functools.partial(model_mod.error_rate, spec, dev_set,
+                                    tv_list=model_mod.tv_output_list(spec, dev_set.docs))
+
+    def step(take, drop_gen, update):
+        masks = np.stack([dropout_mask(spec.doc_dim, cfg.dropout_rate, drop_gen)
+                          for _ in take], axis=1) if cfg.dropout_rate > 0 else None
+        loss, grads = model_mod.batch_forward_backward(
+            spec, [docs[i] for i in take], [labels[i] for i in take],
+            chop_len=cfg.chop_len, chop_overlap=cfg.chop_overlap, dropout_masks=masks,
+            tv_list=[tv_train[i] for i in take] if tv_train is not None else None)
+        return loss * len(take), len(take), grads
+
+    logs = run_epochs(cfg, len(docs), step, list(model_mod.iter_params(spec)),
+                      stream="dropout", dev_err=dev_err, log_fn=log_fn)
     return spec, logs
 
 

@@ -147,26 +147,19 @@ def _tv_from_config(cfg: dict, tensors: dict, prefix: str = "") -> tv_mod.TvEmbe
     if cfg["kind"] == "lstm":
         if cfg["direction"] not in ("forward", "backward"):
             raise ValueError(f"unknown tv direction {cfg['direction']!r}")
-        params = _lstm_from(tensors, prefix, "full", cfg["dim"], cfg["vocab_size"],
-                            "one-hot", [])
-        emb = tv_mod.TvEmbedding(
-            kind="lstm", dim=cfg["dim"], name=cfg["name"], lstm_params=params,
-            direction=cfg["direction"], align_offset=cfg["align_offset"],
-            target_vocab_hash=cfg["target_vocab_hash"],
-            source_vocab_hash=cfg["source_vocab_hash"],
-        )
+        kind_params = {"direction": cfg["direction"],
+                       "lstm_params": _lstm_from(tensors, prefix, "full", cfg["dim"],
+                                                 cfg["vocab_size"], "one-hot", [])}
     else:
-        params = conv_mod.ConvParams(
-            cfg["dim"], cfg["region_size"], cfg["input_kind"], cfg["vocab_size"],
-            tensors[f"{prefix}w"], _vec(tensors, f"{prefix}b"),
-        )
-        emb = tv_mod.TvEmbedding(
-            kind="cnn", dim=cfg["dim"], name=cfg["name"], conv_params=params,
-            region_size=cfg["region_size"], align_offset=cfg["align_offset"],
-            target_vocab_hash=cfg["target_vocab_hash"],
-            source_vocab_hash=cfg["source_vocab_hash"],
-        )
-    return emb.freeze()
+        kind_params = {"region_size": cfg["region_size"],
+                       "conv_params": conv_mod.ConvParams(
+                           cfg["dim"], cfg["region_size"], cfg["input_kind"],
+                           cfg["vocab_size"], tensors[f"{prefix}w"],
+                           _vec(tensors, f"{prefix}b"))}
+    return tv_mod.TvEmbedding(
+        kind=cfg["kind"], dim=cfg["dim"], name=cfg["name"],
+        align_offset=cfg["align_offset"], target_vocab_hash=cfg["target_vocab_hash"],
+        source_vocab_hash=cfg["source_vocab_hash"], **kind_params).freeze()
 
 
 def save_tv(path, emb: tv_mod.TvEmbedding) -> None:

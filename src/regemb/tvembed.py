@@ -6,13 +6,15 @@ to a controlled target vocabulary) under a weighted square loss whose
 per-coordinate weights realize negative sampling: every positive target
 coordinate is active, plus a fresh uniform sample of zero coordinates.
 
+Training runs through `optim.run_epochs`, which starts with an
+evaluation-only epoch 0; each minibatch step scores the target positions
+of its documents through a linear head that is discarded afterwards.
 Trained embeddings are frozen (arrays made read-only) and applied downstream
 as additional gate / convolution input through trainable side matrices.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ from .numkernel import (
     gaussian_init,
     scatter_add_columns,
 )
-from .optim import EpochLog, TrainConfig, Updater, check_loss, check_params
+from .optim import TrainConfig, run_epochs
 
 INIT_STD = 0.01
 
@@ -263,57 +265,36 @@ def _train(emb: TvEmbedding, unlabeled, spec: TvObjectiveSpec, cfg: TrainConfig,
     kept = [i for i, tgt in enumerate(doc_targets) if tgt is not None]
     if not kept:
         raise DataError("no training positions: every document has empty targets")
-    tensors = dict(emb.tensors())
-    dtype = next(iter(tensors.values())).dtype
+    tensors = list(emb.tensors())
+    dtype = tensors[0][1].dtype
     target_dim = len(spec.target_vocab)
-    rng = RngSpec(cfg.seed)
-    head = _Head(target_dim, emb.dim, rng.stream("init", 999), dtype)
-    updater = Updater(cfg)
-    logs = []
-    for epoch in range(0, cfg.epochs + 1):
-        started = time.perf_counter()
-        update = epoch > 0
-        order = rng.stream("shuffle", epoch).permutation(len(kept)) if update \
-            else np.arange(len(kept))
-        sample_gen = rng.stream("sampling", epoch)
-        loss_sum = 0.0
-        pos_total = 0
-        for batch_no, lo in enumerate(range(0, len(kept), cfg.minibatch)):
-            doc_idx = [kept[i] for i in order[lo:lo + cfg.minibatch]]
-            targets_batch = [doc_targets[i] for i in doc_idx]
-            h_docs, run = emb.outputs([id_arrays[i] for i in doc_idx],
-                                      cfg.chop_len, cfg.chop_overlap)
-            # the target positions as columns of the documents side by side
-            offsets = np.cumsum([0] + [h.shape[1] for h in h_docs])
-            cols = np.concatenate([off + tgt.positions
-                                   for off, tgt in zip(offsets, targets_batch)])
-            h_all = np.concatenate(h_docs, axis=1)[:, cols]
-            coords, rows, zvals, n_pos = _head_terms(targets_batch, target_dim,
-                                                     spec.neg_samples, sample_gen)
-            pvals = head.forward(h_all, coords, rows)
-            diff = pvals - zvals
-            loss = float(np.sum(diff * diff))
-            check_loss(loss, epoch, batch_no)
-            loss_sum += loss
-            pos_total += n_pos
-            if not update:
-                continue
-            dp = (2.0 / n_pos) * diff
-            dw, db, dh_all = head.backward(h_all, coords, rows, dp)
-            up = np.zeros((emb.dim, offsets[-1]), dtype=dtype)
-            up[:, cols] = dh_all
-            grads = emb.gradients(run, np.split(up, offsets[1:-1], axis=1))
-            grads["head.w"] = dw
-            grads["head.b"] = db
-            for name, param in {**tensors, "head.w": head.w,
-                                "head.b": head.b}.items():
-                updater.apply(name, param, grads[name])
-        entry = EpochLog(epoch, loss_sum / pos_total, float("nan"),
-                         time.perf_counter() - started)
-        logs.append(entry)
-        if log_fn is not None:
-            log_fn(entry.line())
-    check_params(tensors.items(), cfg.epochs)
+    head = _Head(target_dim, emb.dim, RngSpec(cfg.seed).stream("init", 999), dtype)
+
+    def step(take, sample_gen, update):
+        doc_idx = [kept[i] for i in take]
+        targets_batch = [doc_targets[i] for i in doc_idx]
+        h_docs, run = emb.outputs([id_arrays[i] for i in doc_idx],
+                                  cfg.chop_len, cfg.chop_overlap)
+        # the target positions as columns of the documents side by side
+        offsets = np.cumsum([0] + [h.shape[1] for h in h_docs])
+        cols = np.concatenate([off + tgt.positions
+                               for off, tgt in zip(offsets, targets_batch)])
+        h_all = np.concatenate(h_docs, axis=1)[:, cols]
+        coords, rows, zvals, n_pos = _head_terms(targets_batch, target_dim,
+                                                 spec.neg_samples, sample_gen)
+        diff = head.forward(h_all, coords, rows) - zvals
+        loss = float(np.sum(diff * diff))
+        if not update:
+            return loss, n_pos, None
+        dw, db, dh_all = head.backward(h_all, coords, rows, (2.0 / n_pos) * diff)
+        up = np.zeros((emb.dim, offsets[-1]), dtype=dtype)
+        up[:, cols] = dh_all
+        grads = emb.gradients(run, np.split(up, offsets[1:-1], axis=1))
+        return loss, n_pos, {**grads, "head.w": dw, "head.b": db}
+
+    logs = run_epochs(cfg, len(kept), step,
+                      tensors + [("head.w", head.w), ("head.b", head.b)],
+                      stream="sampling", eval_first=True, saved=tensors, log_fn=log_fn)
     return emb.freeze(), logs
 
 

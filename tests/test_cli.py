@@ -171,6 +171,17 @@ class TestTrainEvalPredict:
         assert code == 0
         assert len([l for l in out.splitlines() if l.startswith("epoch=")]) == 1
 
+    def test_abbreviated_flag_is_usage_error(self, corpus_files, capsys):
+        # an abbreviation would pass as given yet lose to the config file
+        cfg = corpus_files / "train.cfg"
+        cfg.write_text("epochs=5\n")
+        code, _, err = run(
+            capsys, "train", "--arch", "seq-cnn",
+            "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--out", str(corpus_files / "m.rgem"), "--config", str(cfg), "--epo", "1")
+        assert code == 1 and "unrecognized arguments: --epo" in err
+
     def test_eval_scores_once_and_matches_predict(self, corpus_files, capsys,
                                                   monkeypatch):
         import regemb.model as model_mod
@@ -394,6 +405,24 @@ class TestWordVectors:
             "--dev-fraction", "0")
         assert code == 0 and model.exists()
 
+    @pytest.mark.parametrize("entry,message", [
+        ("abc", "has an entry that is not a number"),
+        ("nan", "has a non-finite entry"),
+        ("-inf", "has a non-finite entry"),
+    ])
+    def test_malformed_entry_is_data_error(self, corpus_files, capsys, tmp_path,
+                                           entry, message):
+        wv = tmp_path / "vec.txt"
+        wv.write_text(f"f1 0.5 0.25\ngood 1 {entry}\n")
+        model = corpus_files / "wv.rgem"
+        code, out, err = run(
+            capsys, "train", "--arch", "wv-lstm", "--units", "2", "--wordvec", str(wv),
+            "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--out", str(model), "--epochs", "1")
+        assert code == 2 and f"{wv}: vector of 'good' {message}" in err
+        assert "epoch=" not in out and not model.exists()
+
 
 def _vocab(corpus_files, capsys):
     path = corpus_files / "vocab.txt"
@@ -503,6 +532,21 @@ class TestFlagValues:
             "--target-vocab", vocab, "--unlabeled", str(corpus_files / "train.txt"),
             "--out", str(out), "--epochs", str(epochs), "--lr", "1e30")
         assert code == 3 and f"epoch {epochs}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--vocab", "--target-vocab"])
+    def test_duplicate_vocabulary_word_is_data_error(self, corpus_files, capsys,
+                                                      flag):
+        good = _vocab(corpus_files, capsys)
+        dup = corpus_files / "dup.txt"
+        dup.write_text("#size=3\ngood\nbad\ngood\n")
+        paths = {"--vocab": good, "--target-vocab": good, flag: str(dup)}
+        out = corpus_files / "t.tv"
+        code, _, err = run(
+            capsys, "train-tv", "--kind", "lstm", "--dim", "2",
+            "--unlabeled", str(corpus_files / "train.txt"), "--out", str(out),
+            *(arg for item in paths.items() for arg in item))
+        assert code == 2 and f"{dup}: duplicate words" in err
         assert not out.exists()
 
     def test_workers_is_ignored(self, corpus_files, capsys):

@@ -12,6 +12,7 @@ from regemb.model import (
     ModelSpec,
     PoolingSpec,
     TopLayerParams,
+    attach_embeddings,
     batch_forward_backward,
     batch_scores,
     error_rate,
@@ -24,6 +25,7 @@ from regemb.model import (
     square_loss,
 )
 from regemb.numkernel import RngSpec
+from regemb.tvembed import TvEmbedding
 
 
 def make_lstm_branch(rng, direction="bidirectional", units=3, vocab=6,
@@ -228,6 +230,25 @@ class TestModelForward:
         for i, doc in enumerate(docs):
             np.testing.assert_allclose(scores[:, i], model_forward(spec, doc),
                                        rtol=1e-12, atol=1e-13)
+
+    def test_batch_scores_in_blocks_with_tv(self, monkeypatch):
+        # more documents than one block; each block computes its own tv
+        # outputs unless all of them are given
+        monkeypatch.setattr(model_mod, "SCORE_BLOCK", 3)
+        spec = make_model(seed=9)
+        gen = RngSpec(10).stream("init")
+        emb = TvEmbedding(kind="lstm", dim=2, name="tv0", direction="backward",
+                          lstm_params=lstm_mod.LstmParams.create(
+                              "full", 2, 6, "one-hot", gen, std=0.5)).freeze()
+        attach_embeddings(spec, [emb], gen)
+        rng = np.random.default_rng(1)
+        docs = [TokenSequence(rng.integers(0, 6, size=n)) for n in (5, 1, 7, 3, 0, 4, 2)]
+        scores = batch_scores(spec, docs)
+        for i, doc in enumerate(docs):
+            np.testing.assert_allclose(scores[:, i], model_forward(spec, doc),
+                                       rtol=1e-12, atol=1e-13)
+        given = batch_scores(spec, docs, model_mod.tv_output_list(spec, docs))
+        np.testing.assert_array_equal(given, scores)
 
 
 class TestErrorRate:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,3 +259,38 @@ class TestGradCheck:
         report = grad_check(spec, doc, 0)
         lines = report.lines()
         assert lines[-1].startswith("gradcheck PASS")
+
+
+def _fixture_recipe():
+    """tests/data/make_format_fixture.py, loaded as a module."""
+    path = Path(__file__).parent / "data" / "make_format_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_format_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLoopsReproduceTheFixture:
+    """The tv-LSTM and classifier files and epoch lines were written by the
+    code before the classifier and tv-embedding epoch loops became one (see
+    tests/data/make_format_fixture.py); both loops still write them byte
+    for byte."""
+
+    DATA = Path(__file__).parent / "data" / "format"
+
+    def test_tv_lstm(self, tmp_path):
+        recipe = _fixture_recipe()
+        recipe.write_corpus(tmp_path)
+        log = recipe.train_tv(tmp_path, tmp_path / "tvl.tv", "--kind", "lstm",
+                              "--dim", "3")
+        assert log == (self.DATA / "tvl.log").read_text()
+        assert (tmp_path / "tvl.tv").read_bytes() == (self.DATA / "tvl.tv").read_bytes()
+
+    def test_classifier_with_dropout_dev_split_and_rmsprop(self, tmp_path):
+        recipe = _fixture_recipe()
+        recipe.write_corpus(tmp_path)
+        log = recipe.train_classifier(tmp_path, self.DATA / "tvl.tv",
+                                      tmp_path / "clf.rgem")
+        assert log == (self.DATA / "clf.log").read_text()
+        assert (tmp_path / "clf.rgem").read_bytes() == \
+            (self.DATA / "clf.rgem").read_bytes()
