@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -399,6 +400,8 @@ def cmd_train(args):
     _check_positive(args, "units", "maps", "region", "embed_dim", "vocab_size")
     if not 0 <= args.dev_fraction < 1:
         _usage("--dev-fraction must be in [0, 1)")
+    if not math.isfinite(args.wordvec_scale):
+        _usage("--wordvec-scale must be finite")
     cfg = _train_config(args, dropout_rate=args.dropout)
     _set_precision_flag(args)
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
@@ -519,8 +522,10 @@ def cmd_predict(args):
 
 def cmd_gradcheck(args):
     _check_positive(args, "units", "maps", "region", "vocab_size", "doc_len", "classes")
-    if not args.eps > 0:
-        _usage("--eps must be > 0")
+    if not 0 < args.eps < math.inf:
+        _usage("--eps must be finite and > 0")
+    if not math.isfinite(args.threshold):
+        _usage("--threshold must be finite")
     set_precision("float64")
     rng = RngSpec(args.seed)
     gen = rng.stream("data")

@@ -9,7 +9,8 @@ so columns align index-for-index with LSTM time steps.
 Documents are processed by one batched engine: a minibatch's documents lie
 side by side as the columns of one matrix, and region offset o of the
 location at position p reads position p + o only while that stays inside
-p's document.
+p's document.  Word ids come in per document; side inputs, outputs and
+upstream gradients are one (rows, N) matrix in that layout.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from .corpus import as_ids
 from .numkernel import (
     ColumnGrad,
     RngSpec,
-    by_doc,
+    as_side_by_side,
     gaussian_init,
     mapped_empty,
     scatter_add_columns,
-    side_by_side,
 )
 
 INIT_STD = 0.01
@@ -119,39 +119,37 @@ def pre_activation(params: ConvParams, ids, totals, side_values=()) -> np.ndarra
     return pre
 
 
-def conv_forward(params: ConvParams, docs, side_list=None):
+def conv_forward(params: ConvParams, docs, sides=None):
     """Region embeddings of many documents in one batched pass.
 
-    docs: TokenSequences or id arrays; side_list: per document a list of
-    (dim_j, T) matrices matching params.side, or None when the layer has no
-    side channels.  Returns per-document (maps, T) outputs, plus the run
+    docs: TokenSequences or id arrays; sides: per channel of params.side one
+    (dim_j, N) matrix of the documents side by side, or None when the layer
+    has none.  Returns the (maps, N) outputs in that layout, plus the run
     that backward_from_mask consumes.
     """
     ids_list = [as_ids(doc) for doc in docs]
     totals = [ids.size for ids in ids_list]
-    side_list = side_list if side_list is not None else [None] * len(ids_list)
-    if any(len(sides or ()) != len(params.side) for sides in side_list):
-        raise ValueError(f"expected {len(params.side)} side sequences per document")
+    sides = sides or ()
+    if len(sides) != len(params.side):
+        raise ValueError(f"expected {len(params.side)} side matrices")
     ids = np.concatenate([np.zeros(0, np.int64), *ids_list])
     if ids.size and (ids.min() < 0 or ids.max() >= params.vocab_size):
         raise ValueError(f"word ids must lie in [0, {params.vocab_size})")
-    side_values = [side_by_side([sides[j] for sides in side_list], sp.dim, totals,
-                                params.dtype, f"side input {j}")
-                   for j, sp in enumerate(params.side)]
+    side_values = [as_side_by_side(sv, sp.dim, ids.size, params.dtype, f"side input {j}")
+                   for j, (sp, sv) in enumerate(zip(params.side, sides))]
     h = pre_activation(params, ids, totals, side_values)
     np.maximum(h, 0, out=h)
-    return by_doc(h, totals), _ConvRun(params, totals, ids, side_values, h)
+    return h, _ConvRun(params, totals, ids, side_values, h)
 
 
-def backward_from_mask(run: _ConvRun, upstreams) -> ConvGrads:
-    """Exact gradients of sum over documents of upstream . outputs for a
-    conv_forward run; upstreams are per document (maps, T).  The relu
-    subgradient at zero pre-activation is zero.  One scatter per region
-    offset."""
+def backward_from_mask(run: _ConvRun, upstream) -> ConvGrads:
+    """Exact gradients of sum of upstream . outputs for a conv_forward run;
+    upstream is (maps, N), laid out like the outputs, and is not changed.
+    The relu subgradient at zero pre-activation is zero.  One scatter per
+    region offset."""
     params = run.params
     n = run.ids.size
-    dpre = side_by_side(upstreams, params.maps, run.totals, params.dtype, "upstream")
-    dpre *= run.h > 0
+    dpre = as_side_by_side(upstream, params.maps, n, params.dtype, "upstream") * (run.h > 0)
     room = _room(run.totals)
     # per offset: the positions whose region reaches that far inside their
     # document, and the w columns they read there

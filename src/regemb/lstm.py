@@ -17,7 +17,9 @@ Documents are processed by one batched engine that chops them into
 segments, reads each segment in either direction, sorts the segments by
 length and steps a shrinking active prefix, so many segments (from
 chopping or from many documents) share each recurrence step's matrix
-products.  Gradients are exact backpropagation through time.
+products.  Word ids come in per document; side inputs, outputs and
+upstream gradients are one (rows, N) matrix of the documents side by side
+(N their total length).  Gradients are exact backpropagation through time.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ import numpy as np
 from .numkernel import (
     ColumnGrad,
     RngSpec,
-    by_doc,
+    as_side_by_side,
     gaussian_init,
     scatter_add_columns,
-    side_by_side,
     sigmoid,
 )
 
@@ -234,17 +235,17 @@ def _plan(totals, seg_len, overlap, reverse):
             np.array(warm, dtype=np.int64))
 
 
-def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
+def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
                        overlap=0, override=None, reverse=False):
     """Chop every document and run all segments through one batched pass.
 
     inputs_list: per document an id array (one-hot) or an (input_dim, T)
-    matrix (dense); side_list: per document a list of (dim_j, T) matrices
-    matching params.side, or None when the cell has no side channels.
+    matrix (dense); sides: per channel of params.side one (dim_j, N)
+    matrix of the documents side by side, or None when the cell has none.
     State starts at zero in every segment (the chopping training
     approximation); with `reverse` each segment reads right to left.
-    Returns per-document (units, T) outputs indexed by position, plus the
-    run state consumed by batch_backward_docs.
+    Returns the (units, N) outputs of the documents side by side, indexed
+    by position, plus the run state consumed by batch_backward_docs.
     """
     override = override or GateOverride()
     inputs_list = [_normalize_input(params, x) for x in inputs_list]
@@ -252,9 +253,9 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
     dt = params.dtype
     one_hot = params.input_kind == "one-hot"
     totals = [x.shape[0] if one_hot else x.shape[1] for x in inputs_list]
-    side_list = side_list if side_list is not None else [None] * len(inputs_list)
-    if any(len(sides or ()) != len(params.side) for sides in side_list):
-        raise ValueError(f"expected {len(params.side)} side sequences per document")
+    sides = sides or ()
+    if len(sides) != len(params.side):
+        raise ValueError(f"expected {len(params.side)} side matrices")
 
     lengths, first, warm = _plan(totals, seg_len, overlap, reverse)
     n = lengths.size
@@ -274,32 +275,33 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
         flat_ids = np.concatenate([np.zeros(0, np.int64), *inputs_list])[src]
         zf = params.wx[:, flat_ids]
     else:
-        x_flat = side_by_side(inputs_list, params.input_dim, totals, dt, "input").T[src]
+        x_flat = np.concatenate([np.zeros((params.input_dim, 0), dt), *inputs_list],
+                                axis=1, dtype=dt).T[src]
         zf = params.wx @ x_flat.T
     sv_flat = []
-    for j, sp in enumerate(params.side):
-        mats = [sides[j] for sides in side_list]
-        sv_flat.append(side_by_side(mats, sp.dim, totals, dt, f"side input {j}").T[src])
+    for j, (sp, sv) in enumerate(zip(params.side, sides)):
+        sv = as_side_by_side(sv, sp.dim, sum(totals), dt, f"side input {j}")
+        sv_flat.append(sv.T[src])
         zf += sp.w @ sv_flat[-1].T
 
-    n_rows = params.wx.shape[0]
-    z = np.zeros((t_max, n_rows, n), dtype=dt)
-    z[t_idx, :, k_idx] = zf.T
+    # the gate pre-activations, overwritten step by step by the activations
+    gates = np.zeros((t_max, params.wx.shape[0], n), dtype=dt)
+    gates[t_idx, :, k_idx] = zf.T
     del zf
-    z += params.bias[None, :, None]
+    gates += params.bias[None, :, None]
 
     rows = _gate_rows(params)
     fixed = override.fixed_rows(rows)
     full = params.variant == "full"
-    gates = np.zeros((t_max, n_rows, n), dtype=dt)
     tcs = np.zeros((t_max, units, n), dtype=dt)
     cs = np.zeros((t_max + 1, units, n), dtype=dt)
     hs = np.zeros((t_max + 1, units, n), dtype=dt)
 
     for t in range(t_max):
         nt = widths[t]
-        pre = z[t][:, :nt] + params.wh @ hs[t][:, :nt]
         act = gates[t][:, :nt]
+        pre = params.wh @ hs[t][:, :nt]
+        pre += act
         act[:-units] = sigmoid(pre[:-units])
         act[-units:] = np.tanh(pre[-units:])
         for block in fixed:
@@ -316,7 +318,6 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
         tcs[t][:, :nt] = tc
         cs[t + 1][:, :nt] = c
         hs[t + 1][:, :nt] = h
-    del z
 
     # each position is emitted once (no zero fill); rows scatter faster than columns
     out = np.empty((sum(totals), units), dtype=dt)
@@ -324,13 +325,14 @@ def batch_forward_docs(params, inputs_list, side_list=None, seg_len=None,
     out = np.ascontiguousarray(out.T)
     run = _DocsRun(params, override, totals, widths, t_idx, k_idx, src, emit,
                    flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
-    return by_doc(out, totals), run
+    return out, run
 
 
-def batch_backward_docs(run, upstreams, want_input_grad=False):
+def batch_backward_docs(run, upstream, want_input_grad=False):
     """Exact BPTT over a batch_forward_docs pass.
 
-    upstreams: per document dL/dh (units, T), indexed by position.
+    upstream: dL/dh of the documents side by side, (units, N), indexed by
+    position; it is not changed.
     Returns (LstmGrads, the (input_dim, N) input gradient of the documents
     side by side, or None unless requested; dense inputs only).
     """
@@ -343,7 +345,7 @@ def batch_backward_docs(run, upstreams, want_input_grad=False):
     if want_input_grad and params.input_kind != "dense":
         raise ValueError("input gradients only exist for dense inputs")
 
-    up_all = side_by_side(upstreams, units, run.totals, dt, "upstream")
+    up_all = as_side_by_side(upstream, units, sum(run.totals), dt, "upstream")
     up = np.zeros((t_max, units, n), dtype=dt)
     up[run.t_idx[run.emit], :, run.k_idx[run.emit]] = up_all[:, run.src[run.emit]].T
 
@@ -406,18 +408,16 @@ def forward_sequence(params, inputs, seg_len=None, side_seq=None, override=None,
     training approximation); with `reverse` the cell reads right to left.
     Outputs stay indexed by position either way.
     """
-    h_docs, _ = batch_forward_docs(params, [inputs], [side_seq], seg_len, overlap,
-                                   override, reverse)
-    return h_docs[0]
+    return batch_forward_docs(params, [inputs], side_seq, seg_len, overlap,
+                              override, reverse)[0]
 
 
 def sequence_gradients(params, inputs, upstream, seg_len=None, side_seq=None,
                        override=None, overlap=0):
     """Exact gradients (LstmGrads) of sum_t upstream[:,t] . h_t w.r.t. all
     parameters."""
-    _, run = batch_forward_docs(params, [inputs], [side_seq], seg_len, overlap, override)
-    grads, _ = batch_backward_docs(run, [upstream])
-    return grads
+    _, run = batch_forward_docs(params, [inputs], side_seq, seg_len, overlap, override)
+    return batch_backward_docs(run, upstream)[0]
 
 
 def fold_embedding(params: LstmParams, emb: np.ndarray) -> LstmParams:

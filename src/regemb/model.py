@@ -5,6 +5,10 @@ convolution layer), each followed by pooling over k contiguous regions of
 the document; the pooled vectors are concatenated and classified by a
 linear top layer under square loss.  Dropout on the top-layer input is
 inverted (scaled at train time), so evaluation applies no scaling.
+
+Between layers a minibatch is one (rows, N) matrix of its documents side
+by side (N their total length); pooling reduces each document's columns
+to its column of the (doc_dim, n_docs) top-layer input.
 """
 
 from __future__ import annotations
@@ -37,40 +41,52 @@ class PoolingSpec:
             raise ValueError("pooling needs at least one region")
 
 
-def region_bounds(total: int, regions: int) -> list:
-    """Split positions 0..total-1 into `regions` spans at floor(i*total/regions)."""
-    return [(i * total // regions, (i + 1) * total // regions)
-            for i in range(regions)]
+def _regions(totals, regions):
+    """First column, width and flat index (document * regions + region) of
+    every nonempty pooling region of documents of lengths `totals` side by
+    side.  Region i of a document of length T spans its positions
+    floor(i*T/regions) up to floor((i+1)*T/regions)."""
+    t = np.asarray(totals, dtype=np.int64)[:, None]
+    bounds = np.cumsum(t)[:, None] - t + np.arange(regions + 1) * t // regions
+    lo, hi = bounds[:, :-1].ravel(), bounds[:, 1:].ravel()
+    keep = np.flatnonzero(hi > lo)
+    return lo[keep], (hi - lo)[keep], keep
 
 
-def pool(h: np.ndarray, spec: PoolingSpec) -> np.ndarray:
-    """Reduce (q, T) per-position vectors to one (q*regions,) document vector.
+def pool(h: np.ndarray, spec: PoolingSpec, totals) -> np.ndarray:
+    """Reduce the (q, N) per-position vectors of documents side by side
+    (lengths `totals`) to a (q*regions, n_docs) matrix, one segment
+    reduction: region i of a document fills rows i*q..(i+1)*q-1 of its
+    column, with a zero vector for an empty region (T < regions)."""
+    q, k, n_docs = h.shape[0], spec.regions, len(totals)
+    starts, sizes, keep = _regions(totals, k)
+    out = np.zeros((q, n_docs * k), dtype=h.dtype)
+    if spec.kind == "max":
+        out[:, keep] = np.maximum.reduceat(h, starts, axis=1)
+    else:
+        out[:, keep] = np.add.reduceat(h, starts, axis=1) / sizes.astype(h.dtype)
+    return out.reshape(q, n_docs, k).transpose(2, 0, 1).reshape(k * q, n_docs)
 
-    Empty regions (T < regions) contribute zero vectors.
-    """
-    q, total = h.shape
-    out = np.zeros(q * spec.regions, dtype=h.dtype)
-    for i, (lo, hi) in enumerate(region_bounds(total, spec.regions)):
-        if hi > lo:
-            seg = h[:, lo:hi]
-            out[i * q:(i + 1) * q] = seg.max(axis=1) if spec.kind == "max" \
-                else seg.mean(axis=1)
-    return out
 
-
-def pool_backward(h: np.ndarray, spec: PoolingSpec, dpooled: np.ndarray) -> np.ndarray:
-    """Route pooled gradients back to positions (max: first argmax; avg: spread)."""
-    q, total = h.shape
+def pool_backward(h: np.ndarray, spec: PoolingSpec, totals,
+                  dpooled: np.ndarray) -> np.ndarray:
+    """Route the (q*regions, n_docs) pooled gradients back to the (q, N)
+    positions (max: first argmax of each region; avg: spread evenly)."""
+    q, n = h.shape
+    starts, sizes, keep = _regions(totals, spec.regions)
+    dv = dpooled.reshape(spec.regions, q, -1).transpose(1, 2, 0).reshape(q, -1)[:, keep]
     dh = np.zeros_like(h)
-    for i, (lo, hi) in enumerate(region_bounds(total, spec.regions)):
-        if hi <= lo:
-            continue
-        dv = dpooled[i * q:(i + 1) * q]
-        if spec.kind == "max":
-            am = h[:, lo:hi].argmax(axis=1)
-            dh[np.arange(q), lo + am] += dv
-        else:
-            dh[:, lo:hi] += dv[:, None] / (hi - lo)
+    if spec.kind == "max":
+        # the (row, column) pairs where h reaches its region's max, in row-major
+        # order; the first of each (row, region) gets the gradient.  A region
+        # holding a NaN passes none: its loss is NaN anyway.
+        peak = np.repeat(np.maximum.reduceat(h, starts, axis=1), sizes, axis=1)
+        rows, cols = np.divmod(np.flatnonzero(h == peak), n)
+        region = np.repeat(np.arange(starts.size), sizes)[cols]
+        first = np.flatnonzero(np.diff(rows * starts.size + region, prepend=-1))
+        dh[rows[first], cols[first]] += dv[rows[first], region[first]]
+    else:
+        dh += np.repeat(dv / sizes.astype(h.dtype), sizes, axis=1)
     return dh
 
 
@@ -104,7 +120,7 @@ class LstmBranch:
         for tag in need:
             if getattr(self, tag) is None:
                 raise ValueError(f"{self.direction} branch needs {tag} parameters")
-        for _, params, _ in self.parts():
+        for params in self.layers:
             if self.embedding is not None:
                 if params.input_kind != "dense" or \
                         params.input_dim != self.embedding.shape[0]:
@@ -121,14 +137,22 @@ class LstmBranch:
         return out
 
     @property
+    def layers(self) -> list:
+        return [p for _, p, _ in self.parts()]
+
+    @property
     def out_dim(self) -> int:
-        return sum(p.units for _, p, _ in self.parts())
+        return sum(p.units for p in self.layers)
 
 
 @dataclass
 class ConvBranch:
     pooling: PoolingSpec
     params: conv_mod.ConvParams
+
+    @property
+    def layers(self) -> list:
+        return [self.params]
 
     @property
     def out_dim(self) -> int:
@@ -191,28 +215,22 @@ def iter_tensors(spec: ModelSpec):
 
 
 def tv_ids_used(spec: ModelSpec) -> list:
-    seen = []
-    for branch in spec.branches:
-        side_lists = [p.side for _, p, _ in branch.parts()] \
-            if isinstance(branch, LstmBranch) else [branch.params.side]
-        for side in side_lists:
-            for sp in side:
-                if sp.tv_id not in seen:
-                    seen.append(sp.tv_id)
-    return seen
+    """The tv ids that side channels read, in order of first use."""
+    return list(dict.fromkeys(sp.tv_id for branch in spec.branches
+                              for params in branch.layers for sp in params.side))
 
 
-def tv_output_list(spec: ModelSpec, docs) -> list | None:
-    """Per-document frozen-embedding outputs keyed by tv id, or None when
-    no branch has side channels; one apply_tv call per embedding."""
+def tv_outputs(spec: ModelSpec, docs) -> dict | None:
+    """The frozen-embedding outputs of the documents side by side, keyed by
+    tv id ({tv_id: (dim, N)}), or None when no branch has side channels;
+    one apply_tv call per embedding."""
     tv_ids = tv_ids_used(spec)
     if not tv_ids:
         return None
     for tv_id in tv_ids:
         if tv_id not in spec.tv_table:
             raise DataError(f"model references unknown tv embedding {tv_id!r}")
-    outs = [tv_mod.apply_tv(spec.tv_table[tv_id], docs) for tv_id in tv_ids]
-    return [dict(zip(tv_ids, doc_outs)) for doc_outs in zip(*outs)]
+    return {tv_id: tv_mod.apply_tv(spec.tv_table[tv_id], docs) for tv_id in tv_ids}
 
 
 def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
@@ -222,11 +240,8 @@ def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
         if emb.name in spec.tv_table:
             raise ValueError(f"tv embedding {emb.name!r} already attached")
         spec.tv_table[emb.name] = emb
-    for branch in spec.branches:
-        targets = [p for _, p, _ in branch.parts()] \
-            if isinstance(branch, LstmBranch) else [branch.params]
-        for params in targets:
-            tv_mod.attach(params, embeddings, gen)
+    for params in (params for branch in spec.branches for params in branch.layers):
+        tv_mod.attach(params, embeddings, gen)
     return spec
 
 
@@ -235,39 +250,27 @@ def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _side_inputs(params, tv):
-    """The tv outputs a branch's side channels read, or None without any."""
-    if not params.side:
-        return None
-    if tv is None:
-        raise DataError("branch has side channels but no tv outputs given")
-    return [tv[sp.tv_id] for sp in params.side]
-
-
-def _branch_forward(branch, docs, tv_list, chop_len, overlap):
-    """Per-document branch outputs, plus the run that the backward pass
+def _branch_forward(branch, docs, tv_outs, chop_len, overlap):
+    """The (out_dim, N) branch outputs, plus the run that the backward pass
     consumes: the conv run, or the per-part LSTM runs.  The whole minibatch
-    is one batched pass per part."""
-    tv_list = tv_list if tv_list is not None else [None] * len(docs)
+    is one batched pass per part; each layer's side channels read their
+    embeddings' columns of `tv_outs` (None only when no layer has any)."""
     if isinstance(branch, ConvBranch):
         return conv_mod.conv_forward(branch.params, docs,
-                                     [_side_inputs(branch.params, tv) for tv in tv_list])
+                                     [tv_outs[sp.tv_id] for sp in branch.params.side])
     inputs = [as_ids(doc) for doc in docs]
     if branch.embedding is not None:
         inputs = [branch.embedding[:, ids] for ids in inputs]
-    part_h, runs = [], []
-    for _, params, reverse in branch.parts():
-        sides = [_side_inputs(params, tv) for tv in tv_list]
-        hs, run = lstm_mod.batch_forward_docs(params, inputs, sides, chop_len,
-                                              overlap, reverse=reverse)
-        part_h.append(hs)
-        runs.append(run)
-    return [np.concatenate(hs, axis=0) for hs in zip(*part_h)], runs
+    parts = [lstm_mod.batch_forward_docs(params, inputs,
+                                         [tv_outs[sp.tv_id] for sp in params.side],
+                                         chop_len, overlap, reverse=reverse)
+             for _, params, reverse in branch.parts()]
+    return np.concatenate([h for h, _ in parts]), [run for _, run in parts]
 
 
-def _branch_backward(branch, prefix, run, docs, dh_docs, grads: dict):
+def _branch_backward(branch, prefix, run, docs, dh, grads: dict):
     if isinstance(branch, ConvBranch):
-        cg = conv_mod.backward_from_mask(run, dh_docs)
+        cg = conv_mod.backward_from_mask(run, dh)
         grads[f"{prefix}.w"] = cg.w
         grads[f"{prefix}.b"] = cg.b
         for sp, sg in zip(branch.params.side, cg.side):
@@ -276,40 +279,30 @@ def _branch_backward(branch, prefix, run, docs, dh_docs, grads: dict):
 
     parts = branch.parts()
     want_emb = branch.embedding is not None and branch.train_embedding
-    row_split = np.cumsum([0] + [p.units for _, p, _ in parts])
+    ups = np.split(dh, np.cumsum([p.units for _, p, _ in parts])[:-1])
     if want_emb:
         # the input gradient's columns are the documents side by side
         ids = np.concatenate([doc.ids for doc in docs])
         emb_grad = ColumnGrad.over(branch.embedding.shape, [ids], branch.embedding.dtype)
         slots = emb_grad.slots(ids)
         grads[f"{prefix}.emb"] = emb_grad
-    for pi, ((tag, params, _), part_run) in enumerate(zip(parts, run)):
-        ups = [dh[row_split[pi]:row_split[pi + 1]] for dh in dh_docs]
-        lg, dx = lstm_mod.batch_backward_docs(part_run, ups, want_input_grad=want_emb)
+    for (tag, params, _), part_run, up in zip(parts, run, ups):
+        lg, dx = lstm_mod.batch_backward_docs(part_run, up, want_input_grad=want_emb)
         if want_emb:
             scatter_add_columns(emb_grad.block, slots, dx)
         grads.update(lstm_mod.gate_tensors(params, f"{prefix}.{tag}.", lg))
 
 
-def _pooled_forward(spec, docs, tv_list, chop_len, overlap):
-    P = np.zeros((spec.doc_dim, len(docs)), dtype=spec.top.w.dtype)
-    layout = []
-    row = 0
-    for branch in spec.branches:
-        h_docs, run = _branch_forward(branch, docs, tv_list, chop_len, overlap)
-        width = branch.out_dim * branch.pooling.regions
-        for bi, h in enumerate(h_docs):
-            P[row:row + width, bi] = pool(h, branch.pooling)
-        layout.append((branch, run, h_docs, row, width))
-        row += width
-    return P, layout
+def _pooled_forward(spec, docs, totals, tv_outs, chop_len, overlap):
+    """The (doc_dim, n_docs) top-layer input, plus per branch its outputs
+    and the run its backward pass consumes."""
+    layout = [(branch, *_branch_forward(branch, docs, tv_outs, chop_len, overlap))
+              for branch in spec.branches]
+    return np.concatenate([pool(h, b.pooling, totals) for b, h, _ in layout]), layout
 
 
 def _targets(labels, n_classes, encoding, dtype):
-    if encoding == "01":
-        y = np.zeros((n_classes, len(labels)), dtype=dtype)
-    else:
-        y = -np.ones((n_classes, len(labels)), dtype=dtype)
+    y = np.full((n_classes, len(labels)), 0.0 if encoding == "01" else -1.0, dtype=dtype)
     for i, lab in enumerate(labels):
         if not 0 <= lab < n_classes:
             raise ValueError(f"label {lab} out of range for {n_classes} classes")
@@ -333,54 +326,51 @@ def model_forward(spec: ModelSpec, doc, tv_outs=None) -> np.ndarray:
     """Eval-mode class scores for one document (`tv_outs`: its frozen-
     embedding outputs keyed by tv id, computed when not given).  An empty
     document yields the top layer applied to the zero vector."""
-    return batch_scores(spec, [doc], None if tv_outs is None else [tv_outs])[:, 0]
+    return batch_scores(spec, [doc], tv_outs)[:, 0]
 
 
-def batch_scores(spec: ModelSpec, docs, tv_list=None) -> np.ndarray:
+def batch_scores(spec: ModelSpec, docs, tv_outs=None) -> np.ndarray:
     """Eval-mode scores for many documents: (n_classes, len(docs)), scored
     SCORE_BLOCK at a time, each block with its own frozen-embedding outputs
-    unless `tv_list` gives those of every document."""
+    unless `tv_outs` gives those of all documents side by side."""
+    totals = [as_ids(doc).size for doc in docs]
+    bounds = np.cumsum([0, *totals])
     scores = np.empty((spec.n_classes, len(docs)), dtype=spec.top.w.dtype)
     for lo in range(0, len(docs), SCORE_BLOCK):
-        block = docs[lo:lo + SCORE_BLOCK]
-        block_tv = tv_output_list(spec, block) if tv_list is None \
-            else tv_list[lo:lo + SCORE_BLOCK]
-        P, _ = _pooled_forward(spec, block, block_tv, None, 0)
-        scores[:, lo:lo + SCORE_BLOCK] = spec.top.w @ P + spec.top.b[:, None]
+        hi = min(lo + SCORE_BLOCK, len(docs))
+        block_tv = tv_outputs(spec, docs[lo:hi]) if tv_outs is None else \
+            {tv_id: out[:, bounds[lo]:bounds[hi]] for tv_id, out in tv_outs.items()}
+        P, _ = _pooled_forward(spec, docs[lo:hi], totals[lo:hi], block_tv, None, 0)
+        scores[:, lo:hi] = spec.top.w @ P + spec.top.b[:, None]
     return scores
 
 
 def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
-                           chop_overlap=0, dropout_masks=None, tv_list=None):
+                           chop_overlap=0, dropout_masks=None, tv_outs=None):
     """Mean square loss over the minibatch and gradients for every trainable
     tensor (keys match iter_params)."""
-    if tv_list is None:
-        tv_list = tv_output_list(spec, docs)
-    P, layout = _pooled_forward(spec, docs, tv_list, chop_len, chop_overlap)
+    if tv_outs is None:
+        tv_outs = tv_outputs(spec, docs)
+    totals = [as_ids(doc).size for doc in docs]
+    P, layout = _pooled_forward(spec, docs, totals, tv_outs, chop_len, chop_overlap)
     dropped = P * dropout_masks if dropout_masks is not None else P
     scores = spec.top.w @ dropped + spec.top.b[:, None]
     y = _targets(labels, spec.n_classes, spec.target_encoding, scores.dtype)
     diff = scores - y
     loss = float(np.sum(diff * diff)) / len(docs)
     dscores = (2.0 / len(docs)) * diff
-    grads = {
-        "top.w": dscores @ dropped.T,
-        "top.b": dscores.sum(axis=1),
-    }
+    grads = {"top.w": dscores @ dropped.T, "top.b": dscores.sum(axis=1)}
     dP = spec.top.w.T @ dscores
     if dropout_masks is not None:
         dP = dP * dropout_masks
-    for bi, (branch, run, h_docs, row, width) in enumerate(layout):
-        dh_docs = [pool_backward(h_docs[i], branch.pooling, dP[row:row + width, i])
-                   for i in range(len(docs))]
-        _branch_backward(branch, f"br{bi}", run, docs, dh_docs, grads)
-    for name, param in iter_params(spec):
-        if name not in grads:
-            grads[name] = np.zeros_like(param)
+    rows = np.cumsum([b.out_dim * b.pooling.regions for b in spec.branches])
+    for bi, ((branch, h, run), dp) in enumerate(zip(layout, np.split(dP, rows[:-1]))):
+        dh = pool_backward(h, branch.pooling, totals, dp)
+        _branch_backward(branch, f"br{bi}", run, docs, dh, grads)
     return loss, grads
 
 
-def confusion(spec: ModelSpec, dataset, tv_list=None) -> np.ndarray:
+def confusion(spec: ModelSpec, dataset, tv_outs=None) -> np.ndarray:
     """(true class, predicted class) document counts."""
     docs = dataset.docs
     if not docs:
@@ -389,7 +379,7 @@ def confusion(spec: ModelSpec, dataset, tv_list=None) -> np.ndarray:
         raise DataError("evaluation documents must all be labeled")
     counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
     np.add.at(counts, ([d.label for d in docs],
-                       np.argmax(batch_scores(spec, docs, tv_list), axis=0)), 1)
+                       np.argmax(batch_scores(spec, docs, tv_outs), axis=0)), 1)
     return counts
 
 
@@ -399,6 +389,6 @@ def percent_wrong(counts: np.ndarray) -> float:
     return 100.0 * (total - int(np.trace(counts))) / total
 
 
-def error_rate(spec: ModelSpec, dataset, tv_list=None) -> float:
+def error_rate(spec: ModelSpec, dataset, tv_outs=None) -> float:
     """Percentage of misclassified documents."""
-    return percent_wrong(confusion(spec, dataset, tv_list))
+    return percent_wrong(confusion(spec, dataset, tv_outs))

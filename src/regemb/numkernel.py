@@ -3,8 +3,8 @@
 A single process-wide precision mode selects float64 (gradient checks and
 most tests) or float32 (training runs); arrays are allocated in whichever
 mode is active at creation time, never mixed per-tensor.  Besides the
-precision mode: seeded rng streams, the column scatter, the side-by-side
-document layout, and ColumnGrad, the one sparse type.
+precision mode: seeded rng streams, the column scatter, the check of the
+side-by-side document layout, and ColumnGrad, the one sparse type.
 """
 
 from __future__ import annotations
@@ -109,19 +109,14 @@ def scatter_add_columns(dest: np.ndarray, idx: np.ndarray, cols: np.ndarray) -> 
     return dest
 
 
-def side_by_side(mats, rows, totals, dt, what):
-    """Per-document (rows, T) matrices side by side: one (rows, N) matrix."""
-    for i, (mat, total) in enumerate(zip(mats, totals)):
-        if np.shape(mat) != (rows, total):
-            raise ValueError(f"{what} for doc {i}: expected ({rows}, {total}), "
-                             f"got {np.shape(mat)}")
-    return np.concatenate([np.zeros((rows, 0), dt), *mats], axis=1, dtype=dt)
-
-
-def by_doc(mat, totals):
-    """The per-document column blocks (views) of a side-by-side matrix."""
-    bounds = np.cumsum([0, *totals])
-    return [mat[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+def as_side_by_side(mat, rows, n, dt, what):
+    """`mat` checked as the (rows, n) matrix of documents side by side: the
+    one layout that crosses a layer boundary.  Returned C-contiguous in
+    dtype dt (a copy only if needed), so the products an engine makes with
+    it round the same whichever view the caller passed."""
+    if np.shape(mat) != (rows, n):
+        raise ValueError(f"{what}: expected ({rows}, {n}), got {np.shape(mat)}")
+    return np.ascontiguousarray(mat, dtype=dt)
 
 
 def mapped_empty(shape, dtype) -> np.ndarray:

@@ -35,8 +35,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr 0 is allowed as a degenerate no-op run (useful in tests)
-        if self.lr < 0:
-            raise ValueError("lr must not be negative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and not negative")
+        if not 0 < self.rmsprop_eps < math.inf:
+            raise ValueError("rmsprop_eps must be finite and > 0")
         if self.minibatch < 1:
             raise ValueError("minibatch must be >= 1")
         if not 0 <= self.dropout_rate < 1:
@@ -186,19 +188,24 @@ def train(spec, train_set, dev_set, cfg: TrainConfig, log_fn=None):
     if any(lab is None for lab in labels):
         raise ValueError("training documents must all be labeled")
     spec.top.dropout_rate = cfg.dropout_rate
-    tv_train = model_mod.tv_output_list(spec, docs)
+    tv_train = model_mod.tv_outputs(spec, docs)
+    ends = np.cumsum([doc.ids.size for doc in docs])
     dev_err = None
     if dev_set is not None and len(dev_set.docs):
         dev_err = functools.partial(model_mod.error_rate, spec, dev_set,
-                                    tv_list=model_mod.tv_output_list(spec, dev_set.docs))
+                                    tv_outs=model_mod.tv_outputs(spec, dev_set.docs))
 
     def step(take, drop_gen, update):
         masks = np.stack([dropout_mask(spec.doc_dim, cfg.dropout_rate, drop_gen)
                           for _ in take], axis=1) if cfg.dropout_rate > 0 else None
+        # one index: the columns of the minibatch's documents, in take order
+        lens = np.diff(ends, prepend=0)[take]
+        cols = np.arange(lens.sum()) + np.repeat(ends[take] - np.cumsum(lens), lens)
         loss, grads = model_mod.batch_forward_backward(
             spec, [docs[i] for i in take], [labels[i] for i in take],
             chop_len=cfg.chop_len, chop_overlap=cfg.chop_overlap, dropout_masks=masks,
-            tv_list=[tv_train[i] for i in take] if tv_train is not None else None)
+            tv_outs=None if tv_train is None else
+            {tv_id: np.take(out, cols, axis=1) for tv_id, out in tv_train.items()})
         return loss * len(take), len(take), grads
 
     logs = run_epochs(cfg, len(docs), step, list(model_mod.iter_params(spec)),
@@ -234,9 +241,8 @@ def grad_check(spec, doc, label, eps=1e-4, threshold=1e-4, max_coords=200, seed=
 
     if get_precision() != "float64":
         raise NumericError("grad_check requires the float64 precision mode")
-    tv_outs = (model_mod.tv_output_list(spec, [doc]) or [None])[0]
-    _, grads = model_mod.batch_forward_backward(spec, [doc], [label],
-                                                tv_list=[tv_outs])
+    tv_outs = model_mod.tv_outputs(spec, [doc])
+    _, grads = model_mod.batch_forward_backward(spec, [doc], [label], tv_outs=tv_outs)
 
     def loss_now():
         scores = model_mod.model_forward(spec, doc, tv_outs=tv_outs)

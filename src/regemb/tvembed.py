@@ -99,8 +99,8 @@ class TvEmbedding:
         return self
 
     def outputs(self, ids_list, seg_len=None, overlap=0):
-        """Per-document (dim, T) outputs aligned to positions, plus the run
-        that `gradients` consumes.
+        """The (dim, N) outputs of the documents side by side, aligned to
+        positions, plus the run that `gradients` consumes.
 
         LSTM form: h_t at every position, from one engine pass (read right
         to left for backward embeddings; chopped when seg_len is set).  CNN
@@ -111,24 +111,23 @@ class TvEmbedding:
             return lstm_mod.batch_forward_docs(
                 self.lstm_params, [as_ids(doc) for doc in ids_list], None, seg_len,
                 overlap, reverse=self.direction == "backward")
-        h_docs, run = conv_mod.conv_forward(self.conv_params, ids_list)
-        return [self._shift(h, True) for h in h_docs], run
+        h, run = conv_mod.conv_forward(self.conv_params, ids_list)
+        return self._shift(h, run.totals, True), run
 
-    def gradients(self, run, upstreams) -> dict:
-        """Gradients of sum over documents of upstream . outputs, keyed like
-        `tensors()`; upstreams are (dim, T) per document, aligned like the
-        outputs."""
+    def gradients(self, run, upstream) -> dict:
+        """Gradients of sum of upstream . outputs, keyed like `tensors()`;
+        upstream is (dim, N), laid out like the outputs."""
         if self.kind == "lstm":
-            lg, _ = lstm_mod.batch_backward_docs(run, upstreams)
+            lg, _ = lstm_mod.batch_backward_docs(run, upstream)
             return dict(lstm_mod.gate_tensors(self.lstm_params, grads=lg))
-        cg = conv_mod.backward_from_mask(run, [self._shift(up, False) for up in upstreams])
+        cg = conv_mod.backward_from_mask(run, self._shift(upstream, run.totals, False))
         return {"w": cg.w, "b": cg.b}
 
-    def _shift(self, mat, to_output):
+    def _shift(self, mat, totals, to_output):
         """The columns of complete regions moved from region start l to
         output position l + align_offset (or back); other columns zero."""
-        n = max(mat.shape[1] - self.region_size + 1, 0)
-        starts, outputs = slice(0, n), slice(self.align_offset, self.align_offset + n)
+        starts = np.flatnonzero(conv_mod._room(totals) >= self.region_size)
+        outputs = starts + self.align_offset
         out = np.zeros_like(mat)
         out[:, outputs if to_output else starts] = mat[:, starts if to_output else outputs]
         return out
@@ -273,13 +272,13 @@ def _train(emb: TvEmbedding, unlabeled, spec: TvObjectiveSpec, cfg: TrainConfig,
     def step(take, sample_gen, update):
         doc_idx = [kept[i] for i in take]
         targets_batch = [doc_targets[i] for i in doc_idx]
-        h_docs, run = emb.outputs([id_arrays[i] for i in doc_idx],
-                                  cfg.chop_len, cfg.chop_overlap)
+        h, run = emb.outputs([id_arrays[i] for i in doc_idx],
+                             cfg.chop_len, cfg.chop_overlap)
         # the target positions as columns of the documents side by side
-        offsets = np.cumsum([0] + [h.shape[1] for h in h_docs])
+        offsets = np.cumsum([0] + [id_arrays[i].size for i in doc_idx])
         cols = np.concatenate([off + tgt.positions
                                for off, tgt in zip(offsets, targets_batch)])
-        h_all = np.concatenate(h_docs, axis=1)[:, cols]
+        h_all = h[:, cols]
         coords, rows, zvals, n_pos = _head_terms(targets_batch, target_dim,
                                                  spec.neg_samples, sample_gen)
         diff = head.forward(h_all, coords, rows) - zvals
@@ -287,9 +286,9 @@ def _train(emb: TvEmbedding, unlabeled, spec: TvObjectiveSpec, cfg: TrainConfig,
         if not update:
             return loss, n_pos, None
         dw, db, dh_all = head.backward(h_all, coords, rows, (2.0 / n_pos) * diff)
-        up = np.zeros((emb.dim, offsets[-1]), dtype=dtype)
+        up = np.zeros_like(h)
         up[:, cols] = dh_all
-        grads = emb.gradients(run, np.split(up, offsets[1:-1], axis=1))
+        grads = emb.gradients(run, up)
         return loss, n_pos, {**grads, "head.w": dw, "head.b": db}
 
     logs = run_epochs(cfg, len(kept), step,
@@ -334,15 +333,19 @@ def train_tv_cnn(unlabeled, region_size: int, dim: int, spec: TvObjectiveSpec,
     return _train(emb, unlabeled, spec, cfg, log_fn)
 
 
-def apply_tv(emb: TvEmbedding, docs) -> list:
-    """Frozen embedding outputs for many documents: per document (dim, T),
+def apply_tv(emb: TvEmbedding, docs) -> np.ndarray:
+    """Frozen embedding outputs of many documents side by side, (dim, N),
     aligned to positions as in `TvEmbedding.outputs`.  The documents go to
     the engine in blocks of model.SCORE_BLOCK."""
     from .model import SCORE_BLOCK
 
     docs = list(docs)
-    return [out for lo in range(0, len(docs), SCORE_BLOCK)
-            for out in emb.outputs(docs[lo:lo + SCORE_BLOCK])[0]]
+    bounds = np.cumsum([0, *(as_ids(doc).size for doc in docs)])
+    out = np.empty((emb.dim, bounds[-1]), dtype=next(emb.tensors())[1].dtype)
+    for lo in range(0, len(docs), SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, len(docs))
+        out[:, bounds[lo]:bounds[hi]] = emb.outputs(docs[lo:hi])[0]
+    return out
 
 
 def attach(params, emb_list, rng) -> None:

@@ -48,3 +48,50 @@ def region_vector(ids, loc, size, vocab, kind):
         x = np.zeros(vocab)
         np.add.at(x, window, 1.0)
     return x
+
+
+def region_bounds(total, regions):
+    """Positions 0..total-1 split into `regions` spans at
+    floor(i*total/regions)."""
+    return [(i * total // regions, (i + 1) * total // regions)
+            for i in range(regions)]
+
+
+def pool_doc(h, kind, regions):
+    """One document's (q, T) vectors pooled region by region:
+    (q*regions,), a zero vector for an empty region."""
+    q = h.shape[0]
+    out = np.zeros(q * regions, dtype=h.dtype)
+    for i, (lo, hi) in enumerate(region_bounds(h.shape[1], regions)):
+        if hi > lo:
+            seg = h[:, lo:hi]
+            out[i * q:(i + 1) * q] = seg.max(axis=1) if kind == "max" \
+                else seg.mean(axis=1)
+    return out
+
+
+def pool_doc_backward(h, kind, regions, dpooled):
+    """dL/dh of one document from its (q*regions,) pooled gradient: max
+    routes to the first argmax of a region, avg spreads evenly."""
+    q = h.shape[0]
+    dh = np.zeros_like(h)
+    for i, (lo, hi) in enumerate(region_bounds(h.shape[1], regions)):
+        if hi <= lo:
+            continue
+        dv = dpooled[i * q:(i + 1) * q]
+        if kind == "max":
+            dh[np.arange(q), lo + h[:, lo:hi].argmax(axis=1)] += dv
+        else:
+            dh[:, lo:hi] += dv[:, None] / (hi - lo)
+    return dh
+
+
+def channels(sides_per_doc):
+    """Per-document lists of per-channel (dim, T) matrices as one (dim, N)
+    matrix of the documents side by side per channel."""
+    return [np.concatenate(mats, axis=1) for mats in zip(*sides_per_doc)]
+
+
+def by_doc(mat, totals):
+    """The per-document column blocks of a side-by-side matrix."""
+    return np.split(mat, np.cumsum(totals)[:-1], axis=1)

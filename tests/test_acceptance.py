@@ -32,7 +32,6 @@ from regemb.model import (
     attach_embeddings,
     error_rate,
     pool,
-    region_bounds,
 )
 from regemb.numkernel import RngSpec, precision
 from regemb.optim import TrainConfig, grad_check, train
@@ -244,26 +243,32 @@ def test_criterion_05_pooling_properties():
         rng = np.random.default_rng(5)
         for total in (1, 2, 5, 12, 30):
             for regions in (1, 2, 3, 10):
-                bounds = region_bounds(total, regions)
-                assert bounds == [(i * total // regions,
-                                   (i + 1) * total // regions)
-                                  for i in range(regions)]
+                bounds = [(i * total // regions, (i + 1) * total // regions)
+                          for i in range(regions)]
+                # pool reads these bounds: max pooling the positions gives
+                # each nonempty region's last position, their negatives its first
+                pos = np.arange(total, dtype=float)[None]
+                spec = PoolingSpec("max", regions)
+                assert list(pool(pos, spec, [total])[:, 0]) == \
+                    [hi - 1 if hi > lo else 0 for lo, hi in bounds]
+                assert list(-pool(-pos, spec, [total])[:, 0]) == \
+                    [lo if hi > lo else 0 for lo, hi in bounds]
                 h = rng.standard_normal((4, total))
                 for kind in ("max", "avg"):
                     spec = PoolingSpec(kind, regions)
-                    base = pool(h, spec)
+                    base = pool(h, spec, [total])
                     shuffled = h.copy()
                     for lo, hi in bounds:
                         perm = rng.permutation(hi - lo)
                         shuffled[:, lo:hi] = shuffled[:, lo:hi][:, perm]
                     if kind == "max":
-                        np.testing.assert_array_equal(pool(shuffled, spec), base)
+                        np.testing.assert_array_equal(pool(shuffled, spec, [total]), base)
                     else:
-                        np.testing.assert_allclose(pool(shuffled, spec), base,
+                        np.testing.assert_allclose(pool(shuffled, spec, [total]), base,
                                                    rtol=1e-12, atol=1e-15)
             h = rng.standard_normal((6, total))
-            np.testing.assert_array_equal(pool(h, PoolingSpec("max", 1)),
-                                          h.max(axis=1))
+            np.testing.assert_array_equal(pool(h, PoolingSpec("max", 1), [total]),
+                                          h.max(axis=1, keepdims=True))
         assert time.perf_counter() - started < 5.0
 
 

@@ -446,6 +446,11 @@ class TestFlagValues:
         ("gradcheck", "--eps", "0"), ("gradcheck", "--vocab-size", "0"),
         ("gradcheck", "--classes", "0"), ("gradcheck", "--units", "0"),
         ("gradcheck", "--maps", "0"),
+        # non-finite values would train and only then fail as numeric errors
+        ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+        ("train", "--rmsprop-eps", "-1"), ("train", "--rmsprop-eps", "nan"),
+        ("train", "--wordvec-scale", "nan"), ("gradcheck", "--threshold", "nan"),
+        ("gradcheck", "--eps", "inf"),
     ]
 
     @pytest.mark.parametrize("command,flag,value", BAD,

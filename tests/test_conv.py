@@ -7,7 +7,7 @@ from regemb.corpus import TokenSequence
 from regemb.lstm import SideInputParams
 from regemb.numkernel import RngSpec, scatter_add_columns
 
-from oracles import region_vector
+from oracles import by_doc, channels, region_vector
 
 
 def random_conv(rng, maps, region, input_kind, vocab, n_side=0, side_dim=2, scale=0.5):
@@ -26,17 +26,17 @@ def rel_err(a, n):
 
 def forward_one(p, ids, side=None):
     """One document through the batched engine: (maps, T)."""
-    return conv_forward(p, [ids], None if side is None else [side])[0][0]
+    return conv_forward(p, [ids], side)[0]
 
 
 def gradients_one(p, ids, upstream, side=None):
-    _, run = conv_forward(p, [ids], None if side is None else [side])
-    return backward_from_mask(run, [upstream])
+    _, run = conv_forward(p, [ids], side)
+    return backward_from_mask(run, upstream)
 
 
-def batch_loss(p, docs, sides, ups):
-    outs, _ = conv_forward(p, docs, sides)
-    return float(sum(np.sum(up * out) for up, out in zip(ups, outs)))
+def batch_loss(p, docs, sides, up):
+    out, _ = conv_forward(p, docs, sides)
+    return float(np.sum(up * out))
 
 
 class TestConvForward:
@@ -163,6 +163,14 @@ class TestConvGradients:
         np.testing.assert_array_equal(grads.w, np.zeros_like(p.w))
         np.testing.assert_array_equal(grads.b, np.zeros_like(p.b))
 
+    def test_upstream_unchanged(self):
+        # the relu mask multiplies a copy, never the caller's array
+        p = ConvParams(2, 2, "seq", 3, np.zeros((2, 6)), np.array([1.0, -1.0]))
+        upstream = np.ones((2, 3))
+        grads = gradients_one(p, np.array([0, 1, 2]), upstream)
+        np.testing.assert_array_equal(grads.b, [3.0, 0.0])
+        np.testing.assert_array_equal(upstream, np.ones((2, 3)))
+
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(6)
         p = random_conv(rng, 2, 2, "seq", 3)
@@ -191,7 +199,8 @@ class TestConvEngine:
             rng = np.random.default_rng(100 + region)
             p = random_conv(rng, 3, region, input_kind, 6, n_side)
             id_list, docs, sides = ragged_batch(rng, region, 6, n_side)
-            outs, _ = conv_forward(p, docs, sides)
+            out, _ = conv_forward(p, docs, channels(sides) if sides else None)
+            outs = by_doc(out, [len(ids) for ids in id_list])
             for i, ids in enumerate(id_list):
                 assert outs[i].shape == (3, len(ids))
                 for loc in range(len(ids)):
@@ -210,7 +219,8 @@ class TestConvEngine:
             rng = np.random.default_rng(200 + region)
             p = random_conv(rng, 2, region, input_kind, 4, n_side=2)
             id_list, docs, sides = ragged_batch(rng, region, 4, 2)
-            ups = [rng.standard_normal((2, len(ids))) for ids in id_list]
+            ups = rng.standard_normal((2, sum(len(ids) for ids in id_list)))
+            sides = channels(sides)
             _, run = conv_forward(p, docs, sides)
             grads = backward_from_mask(run, ups)
             tensors = [("w", p.w, grads.w), ("b", p.b, grads.b)]
@@ -244,5 +254,5 @@ class TestConvEngine:
             docs = [rng.integers(0, 5, size=n) for n in (3, 0, 7, 1, 12, 4)]
             _, run = conv_forward(p, docs)
             calls.clear()
-            backward_from_mask(run, [np.ones((2, len(d))) for d in docs])
+            backward_from_mask(run, np.ones((2, sum(len(d) for d in docs))))
             assert len(calls) <= region

@@ -14,7 +14,7 @@ from regemb.lstm import (
     sequence_gradients,
 )
 
-from oracles import lstm_step, one_hot
+from oracles import by_doc, channels, lstm_step, one_hot
 
 
 def random_params(rng, variant, units, input_dim, input_kind="one-hot",
@@ -200,8 +200,8 @@ class TestBatchEngine:
         lengths = [5, 1, 9, 3, 9, 2]
         seqs = [rng.integers(0, 7, size=n) for n in lengths]
         sides = [[rng.standard_normal((3, n)) for _ in range(2)] for n in lengths]
-        outs, _ = batch_forward_docs(p, seqs, sides)
-        for seq, sv, out in zip(seqs, sides, outs):
+        out, _ = batch_forward_docs(p, seqs, channels(sides))
+        for seq, sv, out in zip(seqs, sides, by_doc(out, lengths)):
             np.testing.assert_allclose(out, forward_sequence(p, seq, side_seq=sv),
                                        rtol=1e-12, atol=1e-14)
 
@@ -212,7 +212,7 @@ class TestBatchEngine:
         seqs = [rng.integers(0, 5, size=n) for n in lengths]
         ups = [rng.standard_normal((3, n)) for n in lengths]
         _, run = batch_forward_docs(p, seqs)
-        got, _ = batch_backward_docs(run, ups)
+        got, _ = batch_backward_docs(run, np.concatenate(ups, axis=1))
         want = {name: np.zeros_like(arr) for name, arr in param_arrays(p)}
         for seq, up in zip(seqs, ups):
             single = sequence_gradients(p, seq, up)
@@ -225,20 +225,19 @@ class TestBatchEngine:
         rng = np.random.default_rng(14)
         p = random_params(rng, "simplified", 2, 4)
         docs = [rng.integers(0, 4, size=n) for n in (7, 3)]
-        h_docs, _ = batch_forward_docs(p, docs, seg_len=3)
+        h, _ = batch_forward_docs(p, docs, seg_len=3)
         # batch width differs from the single-doc pass, so results agree to
         # rounding rather than bit-exactly
-        for doc, h in zip(docs, h_docs):
+        for doc, h in zip(docs, by_doc(h, [7, 3])):
             np.testing.assert_allclose(h, forward_sequence(p, doc, seg_len=3),
                                        rtol=1e-12, atol=1e-14)
 
     def test_zero_length_doc_in_batch(self):
         rng = np.random.default_rng(15)
         p = random_params(rng, "simplified", 2, 4)
-        h_docs, run = batch_forward_docs(p, [np.zeros(0, np.int64),
-                                             rng.integers(0, 4, size=3)])
-        assert h_docs[0].shape == (2, 0)
-        assert h_docs[1].shape == (2, 3)
+        h, _ = batch_forward_docs(p, [np.zeros(0, np.int64),
+                                      rng.integers(0, 4, size=3)])
+        assert h.shape == (2, 3)
 
 
 def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
@@ -281,10 +280,11 @@ class TestEngineAgainstStepOracle:
         rng = np.random.default_rng(40)
         p = random_params(rng, variant, 3, 4, input_kind, n_side)
         docs, sides = ragged_batch(rng, input_kind, n_side)
-        h_docs, _ = batch_forward_docs(p, docs, sides if n_side else None, seg_len,
-                                       overlap, reverse=reverse)
-        assert [h.shape for h in h_docs] == [(3, np.shape(d)[-1]) for d in docs]
-        for doc, sv, h in zip(docs, sides, h_docs):
+        h, _ = batch_forward_docs(p, docs, channels(sides) if n_side else None,
+                                  seg_len, overlap, reverse=reverse)
+        totals = [np.shape(d)[-1] for d in docs]
+        assert h.shape == (3, sum(totals))
+        for doc, sv, h in zip(docs, sides, by_doc(h, totals)):
             np.testing.assert_allclose(
                 h, oracle_forward(p, doc, sv, seg_len, overlap, reverse),
                 rtol=1e-12, atol=1e-14)
@@ -304,8 +304,10 @@ class TestEngineAgainstStepOracle:
                                                         True)))
                        for d, sv, up in zip(docs, sides, ups))
 
-        _, run = batch_forward_docs(p, docs, sides, seg_len, overlap, reverse=True)
-        grads, dx = batch_backward_docs(run, ups, want_input_grad=dense)
+        _, run = batch_forward_docs(p, docs, channels(sides), seg_len, overlap,
+                                    reverse=True)
+        grads, dx = batch_backward_docs(run, np.concatenate(ups, axis=1),
+                                        want_input_grad=dense)
         checked = [(name, arr, np.asarray(g)) for (name, arr), (_, g) in
                    zip(param_arrays(p), grad_arrays(p, grads))]
         if dense:  # dx holds the documents side by side
@@ -384,7 +386,7 @@ class TestSequenceGradients:
         x = rng.standard_normal((4, 5))
         upstream = rng.standard_normal((3, 5))
         _, run = batch_forward_docs(p, [x])
-        _, dx = batch_backward_docs(run, [upstream], want_input_grad=True)
+        _, dx = batch_backward_docs(run, upstream, want_input_grad=True)
         flat = x.reshape(-1)
         dflat = dx.reshape(-1)
         for c in range(flat.size):

@@ -21,11 +21,12 @@ from regemb.model import (
     pool,
     pool_backward,
     predict,
-    region_bounds,
     square_loss,
 )
 from regemb.numkernel import RngSpec
 from regemb.tvembed import TvEmbedding
+
+from oracles import by_doc, pool_doc, pool_doc_backward, region_bounds
 
 
 def make_lstm_branch(rng, direction="bidirectional", units=3, vocab=6,
@@ -51,30 +52,66 @@ def make_model(seed=0, vocab=6, n_classes=2, branches=None, encoding="01"):
     return ModelSpec(branches, top, n_classes, vocab)
 
 
+def pool_one(h, spec):
+    """pool of one document: its (q*regions,) vector."""
+    return pool(h, spec, [h.shape[1]])[:, 0]
+
+
+def coverage_model(case):
+    """oh-2lstmp; wv-2lstmp with a trained or a frozen embedding; or a
+    bi-LSTM plus a seq-CNN, both reading a tv side channel."""
+    rng = RngSpec(10).stream("init")
+    if case == "oh-2lstmp":
+        return make_model(seed=10)
+    if case.startswith("wv-2lstmp"):
+        fwd, bwd = (lstm_mod.LstmParams.create("full", 2, 3, "dense", rng, std=0.5)
+                    for _ in range(2))
+        branch = LstmBranch("bidirectional", PoolingSpec("max", 2), fwd, bwd,
+                            embedding=0.5 * rng.standard_normal((3, 6)),
+                            train_embedding=case.endswith("trained"))
+        return make_model(branches=[branch])
+    spec = make_model(branches=[
+        make_lstm_branch(rng, units=2),
+        ConvBranch(PoolingSpec("avg", 2), conv_mod.ConvParams.create(3, 2, "seq", 6, rng))])
+    emb = TvEmbedding(kind="lstm", dim=2, name="tv0", direction="forward",
+                      lstm_params=lstm_mod.LstmParams.create(
+                          "full", 2, 6, "one-hot", rng, std=0.5)).freeze()
+    attach_embeddings(spec, [emb], rng)
+    return spec
+
+
 class TestPooling:
     def test_max_single_region(self):
         h = np.array([[1.0, 3.0], [-2.0, 0.0]])
-        np.testing.assert_array_equal(pool(h, PoolingSpec("max", 1)), [3, 0])
+        np.testing.assert_array_equal(pool_one(h, PoolingSpec("max", 1)), [3, 0])
 
     def test_avg_single_region(self):
         h = np.array([[1.0, 3.0], [-2.0, 0.0]])
-        np.testing.assert_array_equal(pool(h, PoolingSpec("avg", 1)), [2, -1])
+        np.testing.assert_array_equal(pool_one(h, PoolingSpec("avg", 1)), [2, -1])
 
     def test_boundary_rule_floor(self):
         assert region_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
         assert region_bounds(2, 3) == [(0, 0), (0, 1), (1, 2)]
         assert region_bounds(7, 2) == [(0, 3), (3, 7)]
+        # pool uses the same bounds: max pooling the positions gives each
+        # region's last position, pooling their negatives its first
+        for total, regions in ((10, 3), (7, 2)):
+            pos = np.arange(total, dtype=float)[None]
+            spec = PoolingSpec("max", regions)
+            bounds = region_bounds(total, regions)
+            assert list(pool_one(pos, spec)) == [hi - 1 for _, hi in bounds]
+            assert list(-pool_one(-pos, spec)) == [lo for lo, _ in bounds]
 
     def test_paper_configurations_shape(self):
         h = np.random.default_rng(0).standard_normal((4, 30))
-        assert pool(h, PoolingSpec("max", 1)).shape == (4,)
-        assert pool(h, PoolingSpec("avg", 10)).shape == (40,)
-        assert pool(h, PoolingSpec("max", 10)).shape == (40,)
+        assert pool(h, PoolingSpec("max", 1), [30]).shape == (4, 1)
+        assert pool(h, PoolingSpec("avg", 10), [30]).shape == (40, 1)
+        assert pool(h, PoolingSpec("max", 10), [12, 18]).shape == (40, 2)
 
     def test_k1_max_is_global_max(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((5, 17))
-        np.testing.assert_array_equal(pool(h, PoolingSpec("max", 1)), h.max(axis=1))
+        np.testing.assert_array_equal(pool_one(h, PoolingSpec("max", 1)), h.max(axis=1))
 
     def test_permutation_invariance_within_regions(self):
         # max is exactly invariant; avg reassociates the sum, so allow rounding
@@ -83,42 +120,84 @@ class TestPooling:
             for k in (1, 3):
                 h = rng.standard_normal((3, 12))
                 spec = PoolingSpec(kind, k)
-                base = pool(h, spec)
+                base = pool_one(h, spec)
                 shuffled = h.copy()
                 for lo, hi in region_bounds(12, k):
                     perm = rng.permutation(hi - lo)
                     shuffled[:, lo:hi] = shuffled[:, lo:hi][:, perm]
                 if kind == "max":
-                    np.testing.assert_array_equal(pool(shuffled, spec), base)
+                    np.testing.assert_array_equal(pool_one(shuffled, spec), base)
                 else:
-                    np.testing.assert_allclose(pool(shuffled, spec), base,
+                    np.testing.assert_allclose(pool_one(shuffled, spec), base,
                                                rtol=1e-12, atol=1e-15)
 
     def test_short_document_zero_regions(self):
         h = np.ones((2, 2))
-        out = pool(h, PoolingSpec("max", 4))
+        out = pool_one(h, PoolingSpec("max", 4))
         # bounds for T=2, k=4: (0,0),(0,1),(1,2),(1,2) -> first region empty
         assert out.shape == (8,)
         np.testing.assert_array_equal(out[:2], [0, 0])
 
     def test_empty_document(self):
-        out = pool(np.zeros((3, 0)), PoolingSpec("avg", 2))
+        out = pool_one(np.zeros((3, 0)), PoolingSpec("avg", 2))
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_backward_max_routes_to_argmax(self):
         h = np.array([[1.0, 3.0, 2.0]])
-        dh = pool_backward(h, PoolingSpec("max", 1), np.array([5.0]))
+        dh = pool_backward(h, PoolingSpec("max", 1), [3], np.array([[5.0]]))
         np.testing.assert_array_equal(dh, [[0.0, 5.0, 0.0]])
 
     def test_backward_max_tie_goes_first(self):
         h = np.array([[2.0, 2.0]])
-        dh = pool_backward(h, PoolingSpec("max", 1), np.array([1.0]))
+        dh = pool_backward(h, PoolingSpec("max", 1), [2], np.array([[1.0]]))
         np.testing.assert_array_equal(dh, [[1.0, 0.0]])
 
     def test_backward_avg_spreads(self):
         h = np.zeros((1, 4))
-        dh = pool_backward(h, PoolingSpec("avg", 2), np.array([2.0, 4.0]))
+        dh = pool_backward(h, PoolingSpec("avg", 2), [4], np.array([[2.0], [4.0]]))
         np.testing.assert_array_equal(dh, [[1.0, 1.0, 2.0, 2.0]])
+
+
+class TestBatchedPooling:
+    """pool and pool_backward over ragged batches against the per-document
+    reference: max bit for bit, avg up to the order of its sum."""
+
+    TOTALS = [5, 0, 1, 12, 2, 0, 30, 3, 7]  # empty documents, T < regions
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("regions", [1, 2, 3, 10])
+    def test_matches_per_document_reference(self, regions, kind, dtype):
+        rng = np.random.default_rng(regions)
+        n = sum(self.TOTALS)
+        h = rng.standard_normal((5, n))
+        h[:3] = rng.integers(-2, 3, size=(3, n))  # rows full of ties
+        h = h.astype(dtype)
+        dpooled = rng.standard_normal((5 * regions, len(self.TOTALS))).astype(dtype)
+        spec = PoolingSpec(kind, regions)
+        docs = by_doc(h, self.TOTALS)
+        want = np.stack([pool_doc(x, kind, regions) for x in docs], axis=1)
+        want_dh = np.concatenate([pool_doc_backward(x, kind, regions, dpooled[:, d])
+                                  for d, x in enumerate(docs)], axis=1)
+        got = pool(h, spec, self.TOTALS)
+        got_dh = pool_backward(h, spec, self.TOTALS, dpooled)
+        assert got.shape == want.shape and got.dtype == dtype
+        assert got_dh.shape == h.shape and got_dh.dtype == dtype
+        if kind == "max":
+            np.testing.assert_array_equal(got, want)
+        else:
+            rtol, atol = (1e-6, 1e-7) if dtype == np.float32 else (1e-12, 1e-15)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+        np.testing.assert_array_equal(got_dh, want_dh)
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    def test_batches_without_positions(self, kind):
+        spec = PoolingSpec(kind, 3)
+        for totals in ([], [0], [0, 0]):
+            h = np.zeros((2, 0))
+            np.testing.assert_array_equal(pool(h, spec, totals), np.zeros((6, len(totals))))
+            dh = pool_backward(h, spec, totals, np.ones((6, len(totals))))
+            assert dh.shape == (2, 0)
 
 
 class TestSquareLoss:
@@ -247,7 +326,7 @@ class TestModelForward:
         for i, doc in enumerate(docs):
             np.testing.assert_allclose(scores[:, i], model_forward(spec, doc),
                                        rtol=1e-12, atol=1e-13)
-        given = batch_scores(spec, docs, model_mod.tv_output_list(spec, docs))
+        given = batch_scores(spec, docs, model_mod.tv_outputs(spec, docs))
         np.testing.assert_array_equal(given, scores)
 
 
@@ -294,11 +373,19 @@ class TestBatchForwardBackward:
         np.testing.assert_allclose(loss, np.mean(per_doc), rtol=1e-10)
 
     def test_grads_cover_all_params(self):
-        spec = make_model(seed=10)
-        doc = TokenSequence(np.array([1, 2, 3]), label=1)
-        _, grads = batch_forward_backward(spec, [doc], [1])
-        names = {name for name, _ in iter_params(spec)}
-        assert set(grads) == names
+        # each layer's backward pass names every tensor it trains, in that
+        # tensor's shape, also for a minibatch holding an empty document
+        docs = [TokenSequence(np.array(ids, dtype=np.int64), label=label)
+                for ids, label in (([1, 2, 3, 5], 1), ([], 0), ([4, 0], 1))]
+        for case in ("oh-2lstmp", "wv-2lstmp-trained", "wv-2lstmp-frozen", "multi-tv"):
+            spec = coverage_model(case)
+            _, grads = batch_forward_backward(spec, docs, [d.label for d in docs])
+            params = dict(iter_params(spec))
+            assert set(grads) == set(params), case
+            for name, param in params.items():
+                assert np.asarray(grads[name]).shape == param.shape, (case, name)
+            if case.startswith("wv"):
+                assert ("br0.emb" in grads) == case.endswith("trained")
 
     def test_composite_gradient_vs_finite_differences(self):
         # bidirectional LSTM + conv + pooling + top, end to end

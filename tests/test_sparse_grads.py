@@ -72,11 +72,10 @@ class TestConvColumnGrad:
         params.side.append(SideInputParams(
             "tv0", 2, gen.standard_normal((maps, 2)).astype(params.dtype)))
         docs = _docs(gen, 6, vocab)
-        sides = [[gen.standard_normal((2, len(ids))).astype(params.dtype)]
-                 for ids in docs]
-        ups = [gen.standard_normal((maps, len(ids))).astype(params.dtype)
-               for ids in docs]
-        h_docs, run = conv_forward(params, docs, sides)
+        n = sum(len(ids) for ids in docs)
+        sv = gen.standard_normal((2, n)).astype(params.dtype)
+        ups = gen.standard_normal((maps, n)).astype(params.dtype)
+        h, run = conv_forward(params, docs, [sv])
         scattered = []  # (block slots, values) of every scatter
 
         def recording(dest, idx, cols):
@@ -92,9 +91,7 @@ class TestConvColumnGrad:
         for slots, cols in scattered:
             scatter_add_columns(w_dense, grads.w.cols[slots], cols)
         np.testing.assert_array_equal(np.asarray(grads.w), w_dense)
-        dpre = np.concatenate([up * (h > 0) for up, h in zip(ups, h_docs)], axis=1)
-        sv = np.concatenate([s[0] for s in sides], axis=1)
-        np.testing.assert_array_equal(grads.side[0], dpre @ sv.T)
+        np.testing.assert_array_equal(grads.side[0], (ups * (h > 0)) @ sv.T)
 
 
 class TestLstmColumnGrad:
@@ -104,7 +101,7 @@ class TestLstmColumnGrad:
         vocab, units = 11, 3
         params = LstmParams.create(variant, units, vocab, "one-hot", gen, std=0.5)
         seqs = _docs(gen, 5, vocab)
-        ups = [gen.standard_normal((units, len(s))).astype(params.dtype) for s in seqs]
+        ups = gen.standard_normal((units, sum(len(s) for s in seqs))).astype(params.dtype)
         _, run = batch_forward_docs(params, seqs)
         scattered = []  # the per-position gradients of the stacked gates
 
@@ -124,7 +121,7 @@ class TestLstmColumnGrad:
     def test_empty_batch_is_zero(self):
         params = LstmParams.create("simplified", 2, 6, "one-hot", RngSpec(0))
         _, run = batch_forward_docs(params, [np.zeros(0, np.int64)])
-        grads, _ = batch_backward_docs(run, [np.zeros((2, 0))])
+        grads, _ = batch_backward_docs(run, np.zeros((2, 0)))
         np.testing.assert_array_equal(np.asarray(grads.wx), np.zeros((4, 6)))
 
 

@@ -20,6 +20,8 @@ from regemb.tvembed import (
     train_tv_lstm,
 )
 
+from oracles import by_doc
+
 
 def full_vocab(n):
     return Vocabulary([f"w{i}" for i in range(n)])
@@ -232,20 +234,20 @@ class TestApplyTv:
     def test_lstm_forward_matches_forward_sequence(self):
         emb = self._lstm_emb()
         ids = np.array([0, 3, 2, 5])
-        np.testing.assert_array_equal(apply_tv(emb, [ids])[0],
+        np.testing.assert_array_equal(apply_tv(emb, [ids]),
                                       lstm_mod.forward_sequence(emb.lstm_params, ids))
 
     def test_lstm_backward_reindexed(self):
         emb = self._lstm_emb(direction="backward")
         ids = np.array([0, 3, 2, 5])
         want = lstm_mod.forward_sequence(emb.lstm_params, ids[::-1])[:, ::-1]
-        np.testing.assert_array_equal(apply_tv(emb, [ids])[0], want)
+        np.testing.assert_array_equal(apply_tv(emb, [ids]), want)
 
     def test_cnn_center_alignment(self):
         # region of words 0..4 lands on position 2
         emb = self._cnn_emb(region=5)
         ids = np.arange(6) % 6
-        out = apply_tv(emb, [ids])[0]
+        out = apply_tv(emb, [ids])
         assert out.shape == (3, 6)
         np.testing.assert_array_equal(out[:, :2], np.zeros((3, 2)))
         np.testing.assert_array_equal(out[:, 4:], np.zeros((3, 2)))
@@ -255,13 +257,13 @@ class TestApplyTv:
     def test_region_one_is_positionwise(self):
         emb = self._cnn_emb(region=1)
         ids = np.array([1, 4, 0])
-        out = apply_tv(emb, [ids])[0]
-        full = conv_mod.conv_forward(emb.conv_params, [ids])[0][0]
+        out = apply_tv(emb, [ids])
+        full = conv_mod.conv_forward(emb.conv_params, [ids])[0]
         np.testing.assert_array_equal(out, full)
 
     def test_short_doc_all_zero(self):
         emb = self._cnn_emb(region=5)
-        out = apply_tv(emb, [np.array([1, 2, 3])])[0]
+        out = apply_tv(emb, [np.array([1, 2, 3])])
         np.testing.assert_array_equal(out, np.zeros((3, 3)))
 
     def test_cnn_shift_property(self):
@@ -269,8 +271,8 @@ class TestApplyTv:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 6, size=9)
         shifted = np.concatenate([[2], ids])
-        a = apply_tv(emb, [ids])[0]
-        b = apply_tv(emb, [shifted])[0]
+        a = apply_tv(emb, [ids])
+        b = apply_tv(emb, [shifted])
         # interior columns move right by one
         np.testing.assert_array_equal(b[:, 2:9], a[:, 1:8])
 
@@ -286,7 +288,7 @@ class TestAttach:
         for sp in params.side:
             sp.w[:] = 0.0
         ids = np.array([0, 2, 4, 1])
-        side = [apply_tv(emb, [ids])[0]]
+        side = [apply_tv(emb, [ids])]
         with_side = lstm_mod.forward_sequence(params, ids, side_seq=side)
         without = lstm_mod.forward_sequence(base, ids)
         np.testing.assert_array_equal(with_side, without)
@@ -331,7 +333,7 @@ class TestAttach:
         attach(params, embs, rng)
         assert [sp.tv_id for sp in params.side] == [e.name for e in embs]
         ids = np.arange(8) % 6
-        side = [apply_tv(e, [ids])[0] for e in embs]
+        side = [apply_tv(e, [ids]) for e in embs]
         h = lstm_mod.forward_sequence(params, ids, side_seq=side)
         assert h.shape == (3, 8)
 
@@ -370,7 +372,7 @@ class TestAttach:
         emb = TestApplyTv()._cnn_emb(seed=6, vocab=5, region=1)
         attach(params, [emb], rng)
         ids = np.array([0, 4, 2, 1])
-        sv = [apply_tv(emb, [ids])[0]]
+        sv = [apply_tv(emb, [ids])]
         pre1 = conv_mod.pre_activation(params, ids, [4], sv)
         saved = params.side[0].w.copy()
         params.side[0].w[:] = 0.0
@@ -492,9 +494,10 @@ class TestApplyTvBatched:
             rng = np.random.default_rng(4)
             docs = [rng.integers(0, 7, size=n) for n in (6, 0, 2, 11, 1, 4, 9)]
             batched = apply_tv(emb, docs)
-            assert len(batched) == len(docs)
-            for ids, out in zip(docs, batched):
-                alone = apply_tv(emb, [ids])[0]
+            totals = [len(ids) for ids in docs]
+            assert batched.shape == (emb.dim, sum(totals))
+            for ids, out in zip(docs, by_doc(batched, totals)):
+                alone = apply_tv(emb, [ids])
                 assert out.shape == alone.shape == (emb.dim, len(ids))
                 np.testing.assert_allclose(out, alone, rtol=1e-12, atol=0)
 
@@ -506,8 +509,9 @@ class TestApplyTvBatched:
             emb = _emb("lstm", 5).freeze()
             rng = np.random.default_rng(6)
             docs = [rng.integers(0, 7, size=n) for n in (4, 2, 5, 3, 0, 6, 1)]
-            for ids, out in zip(docs, apply_tv(emb, docs)):
-                np.testing.assert_allclose(out, apply_tv(emb, [ids])[0],
+            outs = by_doc(apply_tv(emb, docs), [len(ids) for ids in docs])
+            for ids, out in zip(docs, outs):
+                np.testing.assert_allclose(out, apply_tv(emb, [ids]),
                                            rtol=1e-12, atol=0)
 
 
@@ -522,11 +526,11 @@ class TestTvEmbeddingGradients:
                        input_kind=input_kind)
             rng = np.random.default_rng(9)
             docs = [rng.integers(0, 7, size=n) for n in (7, 2, 0, 5)]
-            ups = [rng.standard_normal((emb.dim, len(ids))) for ids in docs]
+            ups = rng.standard_normal((emb.dim, sum(len(ids) for ids in docs)))
 
             def objective():
-                outs, _ = emb.outputs(docs, seg_len, overlap)
-                return sum(float(np.sum(u * h)) for u, h in zip(ups, outs))
+                out, _ = emb.outputs(docs, seg_len, overlap)
+                return float(np.sum(ups * out))
 
             _, run = emb.outputs(docs, seg_len, overlap)
             grads = emb.gradients(run, ups)
@@ -556,10 +560,10 @@ class TestTvEmbeddingGradients:
             ids = np.array([1, 4, 2, 6, 0, 3, 5])
             _, run = emb.outputs([ids])
             up = np.random.default_rng(11).standard_normal((emb.dim, len(ids)))
-            grads = emb.gradients(run, [up])
+            grads = emb.gradients(run, up)
             up[:, :2] = 7.0
             up[:, 5:] = -7.0
-            moved = emb.gradients(run, [up])
+            moved = emb.gradients(run, up)
             for name in grads:
                 np.testing.assert_array_equal(np.asarray(moved[name]),
                                               np.asarray(grads[name]))
