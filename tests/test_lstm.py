@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,39 @@ class TestBatchEngine:
         h, _ = batch_forward_docs(p, [np.zeros(0, np.int64),
                                       rng.integers(0, 4, size=3)])
         assert h.shape == (2, 3)
+
+
+def _engine_recipe():
+    """tests/data/make_engine_fixture.py, loaded as a module."""
+    path = Path(__file__).parent / "data" / "make_engine_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_engine_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ENGINE_RECIPE = _engine_recipe()
+
+
+class TestEngineReproducesTheFixture:
+    """tests/data/engine.npz holds the outputs and gradients of the engine
+    that padded every run to (steps, rows, segments) tensors (see
+    tests/data/make_engine_fixture.py); the engine still gives them bit for
+    bit."""
+
+    DATA = np.load(Path(__file__).parent / "data" / "engine.npz")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", sorted(ENGINE_RECIPE.CASES))
+    def test_outputs_and_gradients(self, case, dtype):
+        got = ENGINE_RECIPE.run_case(case, dtype)
+        prefix = f"{dtype}/{case}/"
+        assert sorted(got) == sorted(k[len(prefix):] for k in self.DATA.files
+                                     if k.startswith(prefix))
+        for key, arr in got.items():
+            want = self.DATA[prefix + key]
+            assert arr.dtype == want.dtype, key
+            np.testing.assert_array_equal(arr, want, err_msg=key, strict=True)
 
 
 def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
