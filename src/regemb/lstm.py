@@ -17,9 +17,11 @@ Documents are processed by one batched engine that chops them into
 segments, reads each segment in either direction, sorts the segments by
 length and steps a shrinking active prefix, so many segments (from
 chopping or from many documents) share each recurrence step's matrix
-products.  Word ids come in per document; side inputs, outputs and
-upstream gradients are one (rows, N) matrix of the documents side by side
-(N their total length).  Gradients are exact backpropagation through time.
+products.  The state it keeps holds one entry per (step, segment) pair
+that ran, never a segment count times the longest segment.  Word ids
+come in per document; side inputs, outputs and upstream gradients are one
+(rows, N) matrix of the documents side by side (N their total length).
+Gradients are exact backpropagation through time.
 """
 
 from __future__ import annotations
@@ -157,14 +159,47 @@ class LstmGrads:
 # Every document is chopped into segments (plan_segments); each segment
 # reads its positions in time order, left to right or right to left.  The
 # segments are sorted by length (descending), so at step t only the prefix
-# of segments longer than t is active and state slices stay contiguous.
-# One index, `src`, maps every valid (step, segment) pair to the position
-# it reads in the concatenated documents: inputs and side values are
-# gathered through it, and outputs and upstream gradients travel back
-# through it, so callers see every document in position order.  The input
-# and side contributions to the gate pre-activations are precomputed in
-# one gather or product over all pairs; each step then makes one Wh
-# product over the stacked gates.
+# of the widths[t] segments longer than t is active.  A valid (step,
+# segment) pair is numbered step-major: step t owns the pairs
+# offsets[t]..offsets[t+1], its k-th active segment the k-th of them, and
+# the same segment's previous step is the pair widths[t-1] earlier.  One
+# index, `src`, maps every pair to the position it reads in the
+# concatenated documents: inputs and side values are gathered through it,
+# and outputs and upstream gradients travel back through it, so callers
+# see every document in position order.
+#
+# Nothing is padded to (steps, rows, segments): a run keeps one entry per
+# pair.
+# - gates: (n_valid, G*units), pair-major.  The one-hot gather
+#   wx[:, ids] already lays its (G*units, n_valid) result out pair by pair
+#   (dense and side products are transposed once), so step t's gate
+#   pre-activations are one contiguous chunk, read as a (G*units, nt)
+#   view; the step's activations overwrite them.
+# - c and tanh(c): one flat buffer each, holding step t's (units, nt)
+#   state as one packed C-order block.
+# - h: (units, n_valid), step-major columns; the outputs are one column
+#   gather from it.
+# A step's previous state is the first nt columns of the previous step's
+# block, because the active segments are a prefix.  BPTT writes each
+# step's dpre into the first nt columns of one reused (G*units, n_seqs)
+# block and copies it into the pair-major (n_valid, G*units) `flat` that
+# the weight gradients reduce.
+#
+# Outputs and gradients are bit for bit those of an engine that padded
+# every run (pinned by tests/data/engine.npz), because:
+# 1. every BLAS operand is C-ordered or a strided view of a C-ordered
+#    array; an F-ordered h changes the bits of wh @ h at some widths;
+# 2. dpre has the strides a padded (steps, G*units, n_seqs) array gave
+#    it: wh.T @ dpre rounds differently when its operand is contiguous
+#    rather than strided, at one-column steps in float32 and at every
+#    width in a cell of one unit;
+# 3. the bias gradient sums the C-order (n_valid, G*units) `flat`; a sum
+#    over a C-order (G*units, n_valid) copy rounds differently;
+# 4. state that a step reads as a (rows, nt) block is packed (c, tanh(c))
+#    or pair-major (gates, upstream), so that it is one contiguous chunk:
+#    the same state in (rows, n_valid) matrices is bit-identical, but a
+#    step's slice then has each row on its own page, which made BPTT
+#    steps about 25% slower.
 # ---------------------------------------------------------------------------
 
 
@@ -194,19 +229,15 @@ class _DocsRun:
     override: GateOverride
     totals: list  # per document length
     widths: np.ndarray  # (t_max,) active prefix size per step
-    t_idx: np.ndarray  # valid (step, sorted-segment) pairs, step-major
-    k_idx: np.ndarray
     src: np.ndarray  # per pair, the position it reads in the concatenated docs
     emit: np.ndarray  # the pairs whose output is kept (past the warm-up)
-    flat_ids: np.ndarray | None  # (n_valid,) word ids, one-hot inputs
+    flat_ids: np.ndarray | None  # (n_valid,) word ids in pair order, one-hot inputs
     x_flat: np.ndarray | None  # (n_valid, input_dim), dense inputs
     sv_flat: list  # per side channel: (n_valid, dim)
-    gates: np.ndarray  # (t_max, G*units, n_seqs) gate activations
-    tc: np.ndarray  # (t_max, units, n_seqs) tanh(c_t)
-    # c and h hold the zero initial state at index 0: step t reads index t
-    # and writes index t + 1
-    c: np.ndarray  # (t_max + 1, units, n_seqs)
-    h: np.ndarray
+    gates: np.ndarray  # (n_valid, G*units) gate activations, pair-major
+    tc: np.ndarray  # (units * n_valid,) tanh(c_t), one packed (units, nt) block per step
+    c: np.ndarray  # (units * n_valid,) c_t, packed like tc
+    h: np.ndarray  # (units, n_valid) h_t, step-major columns
 
 
 def _normalize_input(params, item):
@@ -233,6 +264,18 @@ def _plan(totals, seg_len, overlap, reverse):
         offset += total
     return (np.array(lengths, dtype=np.int64), np.array(first, dtype=np.int64),
             np.array(warm, dtype=np.int64))
+
+
+def _steps(widths):
+    """(first pair, end pair, previous step's first pair) of every step."""
+    offsets = [0, *np.cumsum(widths).tolist()]
+    return [(a, b, offsets[t - 1] if t else None)
+            for t, (a, b) in enumerate(zip(offsets, offsets[1:]))]
+
+
+def _block(buf, rows, a, b):
+    """The packed C-order (rows, b - a) block of pairs a..b in a flat buffer."""
+    return buf[rows * a:rows * b].reshape(rows, b - a)
 
 
 def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
@@ -285,45 +328,45 @@ def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
         zf += sp.w @ sv_flat[-1].T
 
     # the gate pre-activations, overwritten step by step by the activations
-    gates = np.zeros((t_max, params.wx.shape[0], n), dtype=dt)
-    gates[t_idx, :, k_idx] = zf.T
+    gates = np.ascontiguousarray(zf.T)  # a copy only for dense inputs
     del zf
-    gates += params.bias[None, :, None]
+    gates += params.bias
 
     rows = _gate_rows(params)
     fixed = override.fixed_rows(rows)
     full = params.variant == "full"
-    tcs = np.zeros((t_max, units, n), dtype=dt)
-    cs = np.zeros((t_max + 1, units, n), dtype=dt)
-    hs = np.zeros((t_max + 1, units, n), dtype=dt)
+    tcs = np.empty(units * n_valid, dtype=dt)
+    cs = np.empty(units * n_valid, dtype=dt)
+    hs = np.empty((units, n_valid), dtype=dt)
+    c_prev = h_prev = np.zeros((units, n), dtype=dt)  # the initial state
 
-    for t in range(t_max):
-        nt = widths[t]
-        act = gates[t][:, :nt]
-        pre = params.wh @ hs[t][:, :nt]
+    for a, b, _ in _steps(widths):
+        nt = b - a
+        act = gates[a:b].T
+        pre = params.wh @ h_prev[:, :nt]
         pre += act
         act[:-units] = sigmoid(pre[:-units])
         act[-units:] = np.tanh(pre[-units:])
         for block in fixed:
             act[block] = 1.0
         f, u = act[rows["f"]], act[rows["u"]]
+        c = _block(cs, units, a, b)
         if full:
-            c = act[rows["i"]] * u + f * cs[t][:, :nt]
-            tc = np.tanh(c)
-            h = act[rows["o"]] * tc
+            np.add(act[rows["i"]] * u, f * c_prev[:, :nt], out=c)
         else:
-            c = u + f * cs[t][:, :nt]
-            tc = np.tanh(c)
-            h = tc
-        tcs[t][:, :nt] = tc
-        cs[t + 1][:, :nt] = c
-        hs[t + 1][:, :nt] = h
+            np.add(u, f * c_prev[:, :nt], out=c)
+        tc = np.tanh(c, out=_block(tcs, units, a, b))
+        if full:
+            np.multiply(act[rows["o"]], tc, out=hs[:, a:b])
+        else:
+            hs[:, a:b] = tc
+        c_prev, h_prev = c, hs[:, a:b]
 
-    # each position is emitted once (no zero fill); rows scatter faster than columns
-    out = np.empty((sum(totals), units), dtype=dt)
-    out[src[emit]] = hs[t_idx[emit] + 1, :, k_idx[emit]]
-    out = np.ascontiguousarray(out.T)
-    run = _DocsRun(params, override, totals, widths, t_idx, k_idx, src, emit,
+    # each position is emitted by exactly one pair
+    pair = np.empty(sum(totals), dtype=np.int64)
+    pair[src[emit]] = emit
+    out = np.take(hs, pair, axis=1)
+    run = _DocsRun(params, override, totals, widths, src, emit,
                    flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
     return out, run
 
@@ -340,29 +383,32 @@ def batch_backward_docs(run, upstream, want_input_grad=False):
     units = params.units
     dt = params.dtype
     widths = run.widths
-    t_max = len(widths)
-    n = run.gates.shape[2]
+    n = int(widths[0]) if widths.size else 0
+    n_valid, gu = run.gates.shape
     if want_input_grad and params.input_kind != "dense":
         raise ValueError("input gradients only exist for dense inputs")
 
     up_all = as_side_by_side(upstream, units, sum(run.totals), dt, "upstream")
-    up = np.zeros((t_max, units, n), dtype=dt)
-    up[run.t_idx[run.emit], :, run.k_idx[run.emit]] = up_all[:, run.src[run.emit]].T
+    up = np.zeros((n_valid, units), dtype=dt)  # pair-major, zero in the warm-up
+    up[run.emit] = up_all.T[run.src[run.emit]]
 
     rows = _gate_rows(params)
     fixed = run.override.fixed_rows(rows)
     full = params.variant == "full"
-    dpre_all = np.zeros_like(run.gates)
+    flat = np.empty((n_valid, gu), dtype=dt)  # dpre of every pair
+    dpre_buf = np.empty((gu, n), dtype=dt)  # a step's dpre is its first nt columns
     dh_carry = np.zeros((units, n), dtype=dt)
     dc_carry = np.zeros((units, n), dtype=dt)
+    c_zero = np.zeros((units, n), dtype=dt)
 
-    for t in range(t_max - 1, -1, -1):
-        nt = widths[t]
-        act = run.gates[t][:, :nt]
+    for a, b, p in reversed(_steps(widths)):
+        nt = b - a
+        act = run.gates[a:b].T
         f, u = act[rows["f"]], act[rows["u"]]
-        tc = run.tc[t][:, :nt]
-        dh = up[t][:, :nt] + dh_carry[:, :nt]
-        dpre = dpre_all[t][:, :nt]
+        tc = _block(run.tc, units, a, b)
+        c_prev = c_zero if p is None else _block(run.c, units, p, a)
+        dh = up[a:b].T + dh_carry[:, :nt]
+        dpre = dpre_buf[:, :nt]
         if full:
             i, o = act[rows["i"]], act[rows["o"]]
             dc = dc_carry[:, :nt] + dh * o * (1.0 - tc * tc)
@@ -372,21 +418,24 @@ def batch_backward_docs(run, upstream, want_input_grad=False):
         else:
             dc = dc_carry[:, :nt] + dh * (1.0 - tc * tc)
             du = dc
-        dpre[rows["f"]] = dc * run.c[t][:, :nt] * f * (1.0 - f)
+        dpre[rows["f"]] = dc * c_prev[:, :nt] * f * (1.0 - f)
         dpre[rows["u"]] = du * (1.0 - u * u)
         for block in fixed:
             dpre[block] = 0.0
         dc_carry[:, :nt] = dc * f
         dh_carry[:, :nt] = params.wh.T @ dpre
+        flat[a:b] = dpre.T
 
-    flat = dpre_all[run.t_idx, :, run.k_idx]  # (n_valid, G*units)
+    # h_{t-1} of every pair: zero at step 0, else the segment's previous pair
+    h_prev = np.zeros((n_valid, units), dtype=dt)
+    h_prev[n:] = run.h.T[np.arange(n, n_valid) - np.repeat(widths[:-1], widths[1:])]
     if params.input_kind == "one-hot":
         wx = ColumnGrad.over(params.wx.shape, [run.flat_ids], dt)
         scatter_add_columns(wx.block, wx.slots(run.flat_ids), flat.T)
     else:
         wx = flat.T @ run.x_flat
-    grads = LstmGrads(wx, flat.T @ run.h[run.t_idx, :, run.k_idx],
-                      flat.sum(axis=0), [flat.T @ sv for sv in run.sv_flat])
+    grads = LstmGrads(wx, flat.T @ h_prev, flat.sum(axis=0),
+                      [flat.T @ sv for sv in run.sv_flat])
     dx = None
     if want_input_grad:
         # a warm-up position is read by two segments; their terms add up

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -241,6 +242,26 @@ class TestBatchEngine:
         h, _ = batch_forward_docs(p, [np.zeros(0, np.int64),
                                       rng.integers(0, 4, size=3)])
         assert h.shape == (2, 3)
+
+
+class TestRunState:
+    def test_state_is_not_padded(self):
+        """One long document among many one-token ones: the state a pass
+        keeps for BPTT grows with the (step, segment) pairs it ran, not
+        with the longest segment times the number of segments."""
+        rng = np.random.default_rng(16)
+        p = random_params(rng, "full", 8, 5)
+        docs = [rng.integers(0, 5, size=400)] + [rng.integers(0, 5, size=1) for _ in range(99)]
+        _, run = batch_forward_docs(p, docs)
+        n_valid = 499
+        kept = 0
+        for f in dataclasses.fields(run):
+            value = getattr(run, f.name)
+            for arr in value if isinstance(value, list) else [value]:
+                if isinstance(arr, np.ndarray):
+                    kept += arr.nbytes
+        per_pair = (p.wx.shape[0] + 3 * p.units) * p.wx.itemsize
+        assert kept <= 2 * per_pair * n_valid
 
 
 def _engine_recipe():
