@@ -282,19 +282,18 @@ class TestEngineReproducesTheFixture:
     tests/data/make_engine_fixture.py); the engine still gives them bit for
     bit."""
 
-    DATA = np.load(Path(__file__).parent / "data" / "engine.npz")
+    DATA = Path(__file__).parent / "data" / "engine.npz"
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("case", sorted(ENGINE_RECIPE.CASES))
     def test_outputs_and_gradients(self, case, dtype):
         got = ENGINE_RECIPE.run_case(case, dtype)
         prefix = f"{dtype}/{case}/"
-        assert sorted(got) == sorted(k[len(prefix):] for k in self.DATA.files
-                                     if k.startswith(prefix))
-        for key, arr in got.items():
-            want = self.DATA[prefix + key]
-            assert arr.dtype == want.dtype, key
-            np.testing.assert_array_equal(arr, want, err_msg=key, strict=True)
+        with np.load(self.DATA) as data:
+            want = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+        assert sorted(got) == sorted(want)
+        for key, arr in got.items():  # strict: shapes and dtypes match too
+            np.testing.assert_array_equal(arr, want[key], err_msg=key, strict=True)
 
 
 def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
