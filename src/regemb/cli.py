@@ -24,11 +24,30 @@ from . import optim
 from . import serialize
 from . import tvembed as tv_mod
 from .errors import DataError, NumericError
-from .numkernel import RngSpec, gaussian_init, set_precision
+from .numkernel import RngSpec, gaussian_init, real_dtype, set_precision
 
-ARCHES = ("oh-2lstmp", "oh-lstmp", "wv-lstm", "wv-2lstmp", "seq-cnn", "bow-cnn", "multi")
-LSTM_ARCHES = ("oh-2lstmp", "oh-lstmp", "wv-lstm", "wv-2lstmp")
-CNN_ARCHES = ("seq-cnn", "bow-cnn")
+# --branch options of each kind: (default, choices), no choices meaning a
+# positive integer; `pool` and `k` default to --pool and --pool-k
+_POOL_OPTIONS = {"pool": (None, ("max", "avg")), "k": (None, None)}
+BRANCH_OPTIONS = {
+    "lstm": {"dir": ("bi", ("fwd", "bwd", "bi")), "units": (100, None),
+             "variant": ("simplified", tuple(lstm_mod.GATES)), **_POOL_OPTIONS},
+    "conv": {"kind": ("seq", ("seq", "bow")), "region": (3, None),
+             "maps": (100, None), **_POOL_OPTIONS},
+}
+ARCHES = {  # one branch: kind, preset options, word-vector input
+    "oh-2lstmp": ("lstm", {}, False),
+    "oh-lstmp": ("lstm", {"dir": "fwd"}, False),
+    "wv-lstm": ("lstm", {"dir": "fwd", "variant": "full"}, True),
+    "wv-2lstmp": ("lstm", {"variant": "full"}, True),
+    "seq-cnn": ("conv", {}, False),
+    "bow-cnn": ("conv", {"kind": "bow", "region": 20}, False),
+    "multi": (None, {}, False),  # branches from --branch
+}
+# flags that set the option of the same name of a named arch's branch
+_ARCH_FLAGS = ("units", "variant", "maps", "region")
+_DIRECTIONS = {"fwd": "forward", "bwd": "backward", "bi": "bidirectional"}
+_GRADCHECK_BRANCHES = ("conv:kind=seq,region=2,maps=3", "lstm:dir=bi,units=2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +100,17 @@ def _add_optimizer(p):
     p.add_argument("--overlap", type=int, default=0)
 
 
+def _add_arch(p, **arch):
+    """--arch and the flags that set the options of its branches."""
+    p.add_argument("--arch", choices=ARCHES, **arch)
+    p.add_argument("--units", type=int, default=None)
+    p.add_argument("--maps", type=int, default=None)
+    p.add_argument("--region", type=int, default=None)
+    p.add_argument("--variant", choices=("simplified", "full"), default=None)
+    p.add_argument("--pool", choices=("max", "avg"), default="max")
+    p.add_argument("--pool-k", type=int, default=1)
+
+
 def build_parser() -> _Parser:
     # no abbreviated flags: _apply_config must see which flags were given
     parser = _Parser(prog="regemb", allow_abbrev=False,
@@ -97,13 +127,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_vocab)
 
     p = add_parser("train", help="train a classifier")
-    p.add_argument("--arch", required=True, choices=ARCHES)
-    p.add_argument("--units", type=int, default=None)
-    p.add_argument("--maps", type=int, default=None)
-    p.add_argument("--region", type=int, default=None)
-    p.add_argument("--variant", choices=("simplified", "full"), default=None)
-    p.add_argument("--pool", choices=("max", "avg"), default="max")
-    p.add_argument("--pool-k", type=int, default=1)
+    _add_arch(p, required=True)
     p.add_argument("--branch", action="append", default=None,
                    help="multi-arch branch spec, e.g. conv:kind=seq,region=3,maps=100")
     p.add_argument("--tv", action="append", default=[],
@@ -159,13 +183,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--arch", choices=ARCHES, default="oh-2lstmp")
-    p.add_argument("--units", type=int, default=3)
-    p.add_argument("--maps", type=int, default=4)
-    p.add_argument("--region", type=int, default=None)
-    p.add_argument("--variant", choices=("simplified", "full"), default=None)
-    p.add_argument("--pool", choices=("max", "avg"), default="max")
-    p.add_argument("--pool-k", type=int, default=1)
+    _add_arch(p, default="oh-2lstmp")
     p.add_argument("--vocab-size", type=int, default=8)
     p.add_argument("--doc-len", type=int, default=6)
     p.add_argument("--classes", type=int, default=3)
@@ -216,16 +234,10 @@ def _apply_config(parser, args, argv):
         setattr(args, action.dest, parsed)
 
 
-def _set_precision_flag(args):
-    set_precision("float64" if args.precision == "64" else "float32")
-
-
 def load_word_vectors(path, vocab, scale=1.0):
     """`word v1 v2 ... vd` lines -> (d, |V|) matrix in vocabulary column order;
     words missing from the file get zero vectors.  The vectors of vocabulary
     words must be finite numbers."""
-    from .numkernel import real_dtype
-
     rows = None
     data = None
     found = 0
@@ -255,59 +267,71 @@ def load_word_vectors(path, vocab, scale=1.0):
     return data, found
 
 
-_BRANCH_DIRECTIONS = {"fwd": "forward", "bwd": "backward", "bi": "bidirectional"}
+def _branch(kind, options, pooling, vocab_size, gen, embedding=None,
+            train_embedding=True):
+    """A branch of `kind` from its options (text or integer values; `pool`
+    and `k` default to `pooling`); an unknown option or a bad value raises
+    ValueError.  An LSTM branch reads `embedding` if given and draws its fwd
+    cell before its bwd cell."""
+    table = BRANCH_OPTIONS[kind]
+    opts = {**{key: default for key, (default, _) in table.items()},
+            "pool": pooling.kind, "k": pooling.regions}
+    for key, value in options.items():
+        if key not in table:
+            raise ValueError(f"unknown {kind} option {key!r} (known: {', '.join(table)})")
+        choices = table[key][1]
+        if choices is None:
+            if not (str(value).isdecimal() and int(value) > 0):
+                raise ValueError(f"{key} must be a positive integer, not {value!r}")
+            value = int(value)
+        elif value not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, not {value!r}")
+        opts[key] = value
+    pooling = model_mod.PoolingSpec(opts["pool"], opts["k"])
+    if kind == "conv":
+        return model_mod.ConvBranch(pooling, conv_mod.ConvParams.create(
+            opts["maps"], opts["region"], opts["kind"], vocab_size, gen))
+    input_dim, input_kind = (vocab_size, "one-hot") if embedding is None \
+        else (embedding.shape[0], "dense")
+    cells = {tag: lstm_mod.LstmParams.create(opts["variant"], opts["units"],
+                                             input_dim, input_kind, gen)
+             for tag in ("fwd", "bwd") if opts["dir"] in (tag, "bi")}
+    return model_mod.LstmBranch(_DIRECTIONS[opts["dir"]], pooling, cells.get("fwd"),
+                                cells.get("bwd"), embedding, train_embedding)
 
 
-def _parse_branch_spec(text, vocab_size, default_pool, gen):
-    kind, _, rest = text.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            opts[key.strip()] = value.strip()
-    if kind not in ("conv", "lstm"):
-        _usage(f"unknown branch type {kind!r} in --branch {text!r}")
-    try:
-        pooling = model_mod.PoolingSpec(opts.get("pool", default_pool.kind),
-                                        int(opts.get("k", default_pool.regions)))
-        if kind == "conv":
-            params = conv_mod.ConvParams.create(
-                int(opts.get("maps", 100)), int(opts.get("region", 3)),
-                opts.get("kind", "seq"), vocab_size, gen)
-            return model_mod.ConvBranch(pooling, params)
-        dir_name = opts.get("dir", "bi")
-        if dir_name not in _BRANCH_DIRECTIONS:
-            raise ValueError(f"dir must be one of {', '.join(_BRANCH_DIRECTIONS)}")
-        direction = _BRANCH_DIRECTIONS[dir_name]
-        units = int(opts.get("units", 100))
-        variant = opts.get("variant", "simplified")
-        if variant not in lstm_mod.GATES:
-            raise ValueError(f"variant must be one of {', '.join(lstm_mod.GATES)}")
-        fwd = bwd = None
-        if direction in ("forward", "bidirectional"):
-            fwd = lstm_mod.LstmParams.create(variant, units, vocab_size, "one-hot", gen)
-        if direction in ("backward", "bidirectional"):
-            bwd = lstm_mod.LstmParams.create(variant, units, vocab_size, "one-hot", gen)
-        return model_mod.LstmBranch(direction, pooling, fwd, bwd)
-    except ValueError as exc:
-        _usage(f"bad --branch {text!r}: {exc}")
+def _branch_list(args, specs, defaults=None):
+    """(source, kind, options) of each branch of --arch: a named arch's
+    preset, then `defaults` for the options of its kind, then the flags
+    given; for `multi`, each spec text `kind:key=value,...`.  A flag that
+    sets no option of the arch is a usage error."""
+    kind, preset, _ = ARCHES[args.arch]
+    given = {name: getattr(args, name) for name in _ARCH_FLAGS
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in BRANCH_OPTIONS.get(kind, ()):
+            _usage(f"--{name} does not apply to arch {args.arch}")
+    if kind is not None:
+        defaults = {k: v for k, v in (defaults or {}).items() if k in BRANCH_OPTIONS[kind]}
+        return [(f"--arch {args.arch}", kind, {**preset, **defaults, **given})]
+    branches = []
+    for text in specs:
+        kind, _, rest = text.partition(":")
+        if kind not in BRANCH_OPTIONS:
+            _usage(f"unknown branch type {kind!r} in --branch {text!r}")
+        pairs = [item.partition("=")[::2] for item in rest.split(",")] if rest else []
+        options = {key.strip(): value.strip() for key, value in pairs}
+        if len(options) < len(pairs):
+            _usage(f"bad --branch {text!r}: an option is given twice")
+        branches.append((f"--branch {text!r}", kind, options))
+    return branches
 
 
 def _check_train_flags(args):
-    if args.arch in LSTM_ARCHES:
-        if args.region is not None:
-            _usage(f"--region does not apply to arch {args.arch}")
-        if args.maps is not None:
-            _usage(f"--maps does not apply to arch {args.arch}")
-    if args.arch in CNN_ARCHES:
-        if args.units is not None:
-            _usage(f"--units does not apply to arch {args.arch}")
-        if args.variant is not None:
-            _usage(f"--variant does not apply to arch {args.arch}")
-    if args.arch.startswith("oh-") or args.arch in CNN_ARCHES:
-        if args.wordvec or args.embed_dim:
-            _usage(f"word vectors do not apply to arch {args.arch}")
-    if args.arch.startswith("wv-") and not (args.wordvec or args.embed_dim):
+    wordvec = ARCHES[args.arch][2]
+    if not wordvec and (args.wordvec or args.embed_dim or args.freeze_wordvec):
+        _usage(f"word vectors do not apply to arch {args.arch}")
+    if wordvec and not (args.wordvec or args.embed_dim):
         _usage("wv archs need --wordvec or --embed-dim")
     if args.arch == "multi" and not args.branch:
         _usage("--arch multi needs at least one --branch")
@@ -315,51 +339,22 @@ def _check_train_flags(args):
         _usage("--branch applies only to --arch multi")
 
 
-def build_model(args, vocab, n_classes, class_names, rng) -> model_mod.ModelSpec:
-    gen = rng.stream("init")
-    vocab_size = len(vocab)
-    pooling = _checked(model_mod.PoolingSpec, args.pool, args.pool_k)
-    branches = []
-    if args.arch in LSTM_ARCHES:
-        units = args.units if args.units is not None else 100
-        variant = args.variant or ("full" if args.arch.startswith("wv") else "simplified")
-        embedding = None
-        input_dim = vocab_size
-        input_kind = "one-hot"
-        if args.arch.startswith("wv"):
-            if args.wordvec:
-                embedding, found = load_word_vectors(args.wordvec, vocab,
-                                                     args.wordvec_scale)
-                print(f"word_vectors={found}/{vocab_size}")
-            else:
-                embedding = gaussian_init(args.embed_dim, vocab_size, 0.01, gen)
-            input_dim = embedding.shape[0]
-            input_kind = "dense"
-        direction = "bidirectional" if args.arch in ("oh-2lstmp", "wv-2lstmp") \
-            else "forward"
-        fwd = bwd = None
-        if direction in ("forward", "bidirectional"):
-            fwd = lstm_mod.LstmParams.create(variant, units, input_dim, input_kind, gen)
-        if direction == "bidirectional":
-            bwd = lstm_mod.LstmParams.create(variant, units, input_dim, input_kind, gen)
-        branches.append(model_mod.LstmBranch(
-            direction, pooling, fwd, bwd, embedding,
-            train_embedding=not args.freeze_wordvec))
-    elif args.arch in CNN_ARCHES:
-        input_kind = "seq" if args.arch == "seq-cnn" else "bow"
-        region = args.region if args.region is not None else \
-            (3 if input_kind == "seq" else 20)
-        maps = args.maps if args.maps is not None else 100
-        params = conv_mod.ConvParams.create(maps, region, input_kind, vocab_size, gen)
-        branches.append(model_mod.ConvBranch(pooling, params))
-    else:
-        for text in args.branch:
-            branches.append(_parse_branch_spec(text, vocab_size, pooling, gen))
-    doc_dim = sum(b.out_dim * b.pooling.regions for b in branches)
-    top = model_mod.TopLayerParams.create(n_classes, doc_dim, gen,
-                                          dropout_rate=args.dropout)
-    return model_mod.ModelSpec(branches, top, n_classes, vocab_size,
-                               class_names, args.target_encoding, {}, vocab)
+def build_model(branches, pooling, vocab, class_names, gen, embedding=None,
+                train_embedding=True, dropout=0.0, target_encoding="01"):
+    """The model of `_branch_list` triples; a bad option is a usage error
+    naming its source.  Draws the branches in order, then the top layer."""
+    built = []
+    for source, kind, options in branches:
+        try:
+            built.append(_branch(kind, options, pooling, len(vocab), gen,
+                                 embedding, train_embedding))
+        except ValueError as exc:
+            _usage(f"bad {source}: {exc}")
+    doc_dim = sum(b.out_dim * b.pooling.regions for b in built)
+    top = model_mod.TopLayerParams.create(len(class_names), doc_dim, gen,
+                                          dropout_rate=dropout)
+    return model_mod.ModelSpec(built, top, len(class_names), len(vocab),
+                               class_names, target_encoding, {}, vocab)
 
 
 def cmd_build_vocab(args):
@@ -379,12 +374,6 @@ def cmd_build_vocab(args):
     return 0
 
 
-def _load_or_build_vocab(args, token_docs):
-    if args.vocab:
-        return corpus.Vocabulary.load(args.vocab)
-    return corpus.build_vocab(token_docs, args.vocab_size)
-
-
 def _train_config(args, **extra):
     return _checked(
         optim.TrainConfig,
@@ -397,15 +386,18 @@ def _train_config(args, **extra):
 
 def cmd_train(args):
     _check_train_flags(args)
+    branches = _branch_list(args, args.branch)
     _check_positive(args, "units", "maps", "region", "embed_dim", "vocab_size")
+    pooling = _checked(model_mod.PoolingSpec, args.pool, args.pool_k)
     if not 0 <= args.dev_fraction < 1:
         _usage("--dev-fraction must be in [0, 1)")
     if not math.isfinite(args.wordvec_scale):
         _usage("--wordvec-scale must be finite")
     cfg = _train_config(args, dropout_rate=args.dropout)
-    _set_precision_flag(args)
+    set_precision(f"float{args.precision}")
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
-    vocab = _load_or_build_vocab(args, token_docs)
+    vocab = corpus.Vocabulary.load(args.vocab) if args.vocab \
+        else corpus.build_vocab(token_docs, args.vocab_size)
     labels = corpus.load_label_file(args.train_labels)
     if len(labels) != len(token_docs):
         raise DataError(f"{args.train_file} and {args.train_labels} differ in length")
@@ -432,13 +424,24 @@ def cmd_train(args):
         train_docs = docs
     train_set = corpus.Dataset(train_docs, len(class_names), class_names)
 
-    spec = build_model(args, vocab, len(class_names), class_names, rng)
+    gen = rng.stream("init")
+    embedding = None
+    if args.wordvec:
+        embedding, found = load_word_vectors(args.wordvec, vocab, args.wordvec_scale)
+        print(f"word_vectors={found}/{len(vocab)}")
+    elif args.embed_dim:
+        embedding = gaussian_init(args.embed_dim, len(vocab), 0.01, gen)
+    spec = build_model(branches, pooling, vocab, class_names, gen, embedding,
+                       not args.freeze_wordvec, args.dropout, args.target_encoding)
     if args.tv:
         embeddings = []
         for path in args.tv:
             emb = serialize.load_tv(path)
             if emb.source_vocab_hash and emb.source_vocab_hash != vocab.sha256():
                 raise DataError(f"{path}: trained on a different vocabulary")
+            if emb.vocab_size != len(vocab):
+                raise DataError(f"{path}: reads {emb.vocab_size} words, "
+                                f"the vocabulary has {len(vocab)}")
             embeddings.append(emb)
         names = [e.name for e in embeddings]
         if len(set(names)) != len(names):
@@ -470,7 +473,7 @@ def cmd_train_tv(args):
     _check_train_tv_flags(args)
     _check_positive(args, "dim", "region")
     cfg = _train_config(args)
-    _set_precision_flag(args)
+    set_precision(f"float{args.precision}")
     vocab = corpus.Vocabulary.load(args.vocab)
     target = corpus.Vocabulary.load(args.target_vocab)
     token_docs = corpus.load_token_file(args.unlabeled, args.pretokenized)
@@ -493,7 +496,7 @@ def cmd_train_tv(args):
 
 
 def cmd_eval(args):
-    _set_precision_flag(args)
+    set_precision(f"float{args.precision}")
     spec = serialize.load_model(args.model)
     if spec.vocab is None:
         raise DataError(f"{args.model}: model carries no vocabulary")
@@ -509,7 +512,7 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    _set_precision_flag(args)
+    set_precision(f"float{args.precision}")
     spec = serialize.load_model(args.model)
     if spec.vocab is None:
         raise DataError(f"{args.model}: model carries no vocabulary")
@@ -521,6 +524,7 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
+    branches = _branch_list(args, _GRADCHECK_BRANCHES, {"units": 3, "maps": 4})
     _check_positive(args, "units", "maps", "region", "vocab_size", "doc_len", "classes")
     if not 0 < args.eps < math.inf:
         _usage("--eps must be finite and > 0")
@@ -529,19 +533,13 @@ def cmd_gradcheck(args):
     set_precision("float64")
     rng = RngSpec(args.seed)
     gen = rng.stream("data")
-    args.dropout = 0.0
-    args.target_encoding = "01"
-    args.wordvec = None
-    args.wordvec_scale = 1.0
-    args.embed_dim = 4 if args.arch.startswith("wv") else None
-    args.freeze_wordvec = False
-    args.branch = args.branch if getattr(args, "branch", None) else None
-    if args.arch == "multi" and not args.branch:
-        args.branch = ["conv:kind=seq,region=2,maps=3", "lstm:dir=bi,units=2"]
-    words = [f"w{i}" for i in range(args.vocab_size)]
-    vocab = corpus.Vocabulary(words)
+    vocab = corpus.Vocabulary([f"w{i}" for i in range(args.vocab_size)])
     class_names = [f"c{i}" for i in range(args.classes)]
-    spec = build_model(args, vocab, args.classes, class_names, rng)
+    init = rng.stream("init")
+    embedding = gaussian_init(4, args.vocab_size, 0.01, init) \
+        if ARCHES[args.arch][2] else None
+    spec = build_model(branches, _checked(model_mod.PoolingSpec, args.pool, args.pool_k),
+                       vocab, class_names, init, embedding)
     if args.with_tv:
         emb_params = lstm_mod.LstmParams.create("full", 3, args.vocab_size,
                                                 "one-hot", gen, std=0.5)
@@ -573,10 +571,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -178,6 +178,26 @@ class ModelSpec:
                 f"top layer is {self.top.w.shape}, branches produce "
                 f"({self.n_classes}, {self.doc_dim})"
             )
+        if self.class_names is not None and len(self.class_names) != self.n_classes:
+            raise ValueError(f"{len(self.class_names)} class names for "
+                             f"{self.n_classes} classes")
+        if self.vocab is not None:
+            self._check_width("the vocabulary", len(self.vocab))
+        for bi, branch in enumerate(self.branches):
+            if isinstance(branch, ConvBranch):
+                self._check_width(f"branch {bi}", branch.params.vocab_size)
+            elif branch.embedding is not None:
+                self._check_width(f"branch {bi}", branch.embedding.shape[1])
+            else:
+                for tag, params, _ in branch.parts():
+                    self._check_width(f"branch {bi} {tag}", params.input_dim)
+        for tv_id, emb in self.tv_table.items():
+            self._check_width(f"tv embedding {tv_id!r}", emb.vocab_size)
+
+    def _check_width(self, what, words):
+        if words != self.vocab_size:
+            raise ValueError(f"{what} has {words} words, but vocab_size is "
+                             f"{self.vocab_size}")
 
     @property
     def doc_dim(self) -> int:

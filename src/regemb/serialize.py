@@ -132,11 +132,9 @@ def _tv_config(emb: tv_mod.TvEmbedding) -> dict:
         "align_offset": emb.align_offset,
         "target_vocab_hash": emb.target_vocab_hash,
         "source_vocab_hash": emb.source_vocab_hash,
+        "vocab_size": emb.vocab_size,
     }
-    if emb.kind == "lstm":
-        cfg["vocab_size"] = emb.lstm_params.input_dim
-    else:
-        cfg["vocab_size"] = emb.conv_params.vocab_size
+    if emb.kind == "cnn":
         cfg["input_kind"] = emb.conv_params.input_kind
     return cfg
 
@@ -259,6 +257,8 @@ def load_model(path) -> model_mod.ModelSpec:
 
 
 def _model_from_config(cfg: dict, tensors: dict) -> model_mod.ModelSpec:
+    if not isinstance(cfg["class_names"], list):
+        raise ValueError("class_names is not a list")
     tv_table = {}
     for tv_id in sorted(cfg["tv"]):
         tv_table[tv_id] = _tv_from_config(cfg["tv"][tv_id], tensors, f"tv.{tv_id}.")

@@ -88,6 +88,12 @@ class TvEmbedding:
             yield "w", self.conv_params.w
             yield "b", self.conv_params.b
 
+    @property
+    def vocab_size(self) -> int:
+        """The number of words the embedding reads."""
+        return self.lstm_params.input_dim if self.kind == "lstm" \
+            else self.conv_params.vocab_size
+
     def freeze(self) -> "TvEmbedding":
         # the stacked LSTM arrays themselves: a read-only row view would
         # leave its base writable
@@ -196,15 +202,11 @@ def _sample_negatives_flat(pos_keys_sorted, n_pos, dim, neg, gen):
     coords = gen.integers(0, dim, size=rows.size)
     while True:
         keys = rows * dim + coords
-        bad = np.isin(keys, pos_keys_sorted)
-        # also reject duplicates within a position
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        dup = np.zeros(keys.size, dtype=bool)
-        dup_sorted = np.zeros(keys.size, dtype=bool)
-        dup_sorted[1:] = sorted_keys[1:] == sorted_keys[:-1]
-        dup[order] = dup_sorted
-        bad |= dup
+        # reject positives and repeats within a position (all but the first
+        # draw of a key)
+        bad = np.ones(keys.size, dtype=bool)
+        bad[np.unique(keys, return_index=True)[1]] = False
+        bad |= np.isin(keys, pos_keys_sorted)
         if not bad.any():
             break
         coords[bad] = gen.integers(0, dim, size=int(bad.sum()))

@@ -1,10 +1,14 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regemb.cli import ARCHES, load_word_vectors, main
 from regemb.corpus import Vocabulary
+from regemb.serialize import load_tensors, save_tensors
 
 
 @pytest.fixture
@@ -589,3 +593,189 @@ class TestModelFileErrors:
         code, out, err = run(capsys, "predict", "--model", str(model),
                              "--input", str(corpus_files / "test.txt"))
         assert code == 2 and "'br0.b' has non-finite" in err and out == ""
+
+
+def _train_argv(corpus_files, out, *argv):
+    return ["train", *argv, "--train", str(corpus_files / "train.txt"),
+            "--train-labels", str(corpus_files / "train.lab"), "--out", str(out),
+            "--epochs", "1", "--minibatch", "10", "--dev-fraction", "0"]
+
+
+class TestBranchOptions:
+    BAD_SPECS = ["lstm:units=0", "conv:maps=0", "conv:region=0", "lstm:unit=5",
+                 "conv:k=-1", "lstm:units=2,units=3", "conv:kind=seq,", "lstm:units"]
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_bad_spec_is_usage_error(self, corpus_files, capsys, spec):
+        out = corpus_files / "m.rgem"
+        code, _, err = run(capsys, *_train_argv(corpus_files, out, "--arch", "multi",
+                                                "--branch", spec))
+        assert code == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    PER_ARCH_FLAGS = [["--units", "3"], ["--variant", "full"], ["--maps", "4"],
+                      ["--region", "2"], ["--embed-dim", "3"], ["--freeze-wordvec"],
+                      ["--wordvec", "vec.txt"]]
+
+    @pytest.mark.parametrize("flags", PER_ARCH_FLAGS, ids=[f[0] for f in PER_ARCH_FLAGS])
+    def test_per_arch_flag_with_multi_is_usage_error(self, corpus_files, capsys, flags):
+        (corpus_files / "vec.txt").write_text("f1 0.5 0.25\n")
+        flags = [str(corpus_files / f) if f.endswith(".txt") else f for f in flags]
+        out = corpus_files / "m.rgem"
+        code, _, err = run(capsys, *_train_argv(
+            corpus_files, out, "--arch", "multi", "--branch", "lstm:units=2", *flags))
+        assert code == 1, err
+        assert err.startswith("error: ") and "arch multi" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch,flag", [("oh-2lstmp", "--maps"), ("seq-cnn", "--units"),
+                                           ("multi", "--units")])
+    def test_gradcheck_refuses_flags_of_another_kind(self, capsys, arch, flag):
+        code, out, err = run(capsys, "gradcheck", "--arch", arch, flag, "2")
+        assert code == 1 and f"{flag} does not apply to arch {arch}" in err
+        assert out == ""
+
+    # each one-hot named arch is a preset of the --branch options; the last
+    # flags go to both command lines
+    SPELLINGS = [
+        ("oh-2lstmp", ["--units", "3"], "lstm:units=3", []),
+        ("oh-lstmp", ["--units", "2", "--variant", "full"],
+         "lstm:dir=fwd,units=2,variant=full", []),
+        ("seq-cnn", ["--maps", "3", "--region", "2"], "conv:maps=3,region=2", []),
+        ("bow-cnn", ["--maps", "3"], "conv:kind=bow,region=20,maps=3", []),
+        ("bow-cnn", ["--maps", "2"], "conv:kind=bow,region=20,maps=2",
+         ["--pool", "avg", "--pool-k", "2"]),
+    ]
+
+    @pytest.mark.parametrize("arch,flags,spec,shared", SPELLINGS,
+                             ids=[f"{a}{' '.join(f + s)}" for a, f, _, s in SPELLINGS])
+    def test_named_arch_is_its_branch_spelling(self, corpus_files, capsys, arch, flags,
+                                               spec, shared):
+        models = []
+        for argv in (["--arch", arch, *flags], ["--arch", "multi", "--branch", spec]):
+            out = corpus_files / f"m{len(models)}.rgem"
+            code, _, err = run(capsys, *_train_argv(corpus_files, out, *argv, *shared,
+                                                    "--epochs", "2", "--seed", "5"))
+            assert code == 0, err
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+
+# --branch text from the kinds, keys and choices, small integers (no case
+# allocates a large array) and junk
+SPEC_CHOICES = {"dir": ["fwd", "bwd", "bi"], "variant": ["simplified", "full"],
+                "kind": ["seq", "bow"], "pool": ["max", "avg"]}
+SPEC_KEYS = [*SPEC_CHOICES, "units", "region", "maps", "k", "unit", " units", ""]
+SPEC_JUNK = ["", "1.5", "+2", "x", "=", "²", "٣", " 2", "bi,"]
+
+
+@st.composite
+def branch_specs(draw):
+    kind = draw(st.sampled_from(["lstm", "conv", "lstm", "conv", "cnn", ""]))
+    items = []
+    for key in draw(st.lists(st.sampled_from(SPEC_KEYS), max_size=3)):
+        fitting = st.sampled_from(SPEC_CHOICES[key]) if key in SPEC_CHOICES \
+            else st.integers(-2, 6).map(str)
+        value = draw(st.one_of(fitting, fitting, st.integers(-2, 6).map(str),
+                               st.sampled_from(SPEC_JUNK)))
+        items.append(f"{key}={value}")
+    return f"{kind}:{','.join(items)}" if items else kind
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny")
+    (path / "train.txt").write_text("a b c\nb c d e\nc a\nd d e a b\n")
+    (path / "train.lab").write_text("x\ny\nx\ny\n")
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=st.lists(branch_specs(), min_size=1, max_size=2))
+def test_any_branch_spec_trains_or_is_a_usage_error(tiny_corpus, capsys, specs):
+    out = tiny_corpus / "m.rgem"
+    out.unlink(missing_ok=True)
+    argv = _train_argv(tiny_corpus, out, "--arch", "multi", "--epochs", "0",
+                       *(arg for spec in specs for arg in ("--branch", spec)))
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    assert out.exists() == (code == 0)
+    if code == 1:
+        assert err.startswith("error: ") and "Traceback" not in err
+    else:  # the model it wrote works
+        code, _, err = run(capsys, "predict", "--model", str(out),
+                           "--input", str(tiny_corpus / "train.txt"))
+        assert code == 0, err
+
+
+def _edit_config(path, edit):
+    """Rewrite a model or tv file after `edit(config, tensors)` changed it."""
+    meta, tensors = load_tensors(path)
+    cfg, tensors = json.loads(meta["config"]), dict(tensors)
+    edit(cfg, tensors)
+    save_tensors(path, {**meta, "config": json.dumps(cfg)}, tensors.items())
+
+
+def _narrow_tv(cfg, tensors):
+    """Make the attached tv-LSTM read one word fewer than the model."""
+    (tv_id, tv_cfg), = cfg["tv"].items()
+    tv_cfg["vocab_size"] -= 1
+    for name in [n for n in tensors if n.startswith(f"tv.{tv_id}.wx.")]:
+        tensors[name] = tensors[name][:, :-1]
+
+
+class TestDisagreeingFiles:
+    """Model and tv files whose facts disagree with each other or with the
+    vocabulary are data errors, not tracebacks."""
+
+    CASES = [
+        ("vocab longer than the layers", "model.rgem",
+         lambda cfg, t: cfg["vocab"].insert(0, "zzz"), "eval", "the vocabulary has"),
+        ("tv narrower than the model", "model.rgem", _narrow_tv, "eval",
+         "tv embedding 'fwd' has"),
+        ("class names null", "model.rgem", lambda cfg, t: cfg.update(class_names=None),
+         "predict", "class_names is not a list"),
+        ("class names short", "model.rgem",
+         lambda cfg, t: cfg.update(class_names=cfg["class_names"][:1]), "predict",
+         "1 class names for 2 classes"),
+        ("train --tv of another width", "small.tv",
+         lambda cfg, t: cfg.update(source_vocab_hash=""), "train", "reads 5 words"),
+    ]
+
+    @pytest.fixture
+    def files(self, corpus_files, capsys):
+        vocab = _vocab(corpus_files, capsys)
+        small = corpus_files / "small.txt"
+        run(capsys, "build-vocab", "--input", str(corpus_files / "train.txt"),
+            "--out", str(small), "--size", "5")
+        for tv, tv_vocab in (("fwd.tv", vocab), ("small.tv", str(small))):
+            code, _, err = run(
+                capsys, "train-tv", "--kind", "lstm", "--dim", "2", "--vocab", tv_vocab,
+                "--target-vocab", tv_vocab, "--unlabeled", str(corpus_files / "train.txt"),
+                "--out", str(corpus_files / tv), "--epochs", "1")
+            assert code == 0, err
+        code, _, err = run(capsys, *_train_argv(
+            corpus_files, corpus_files / "model.rgem", "--arch", "oh-lstmp", "--units", "2",
+            "--vocab", vocab, "--tv", str(corpus_files / "fwd.tv")))
+        assert code == 0, err
+        return corpus_files
+
+    @pytest.mark.parametrize("what,name,edit,command,message", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_is_data_error(self, files, capsys, what, name, edit, command, message):
+        _edit_config(files / name, edit)
+        test, labels = str(files / "test.txt"), str(files / "test.lab")
+        argv = {
+            "eval": ["eval", "--model", str(files / "model.rgem"), "--test", test,
+                     "--labels", labels],
+            "predict": ["predict", "--model", str(files / "model.rgem"), "--input", test],
+            "train": _train_argv(files, files / "new.rgem", "--arch", "oh-lstmp",
+                                 "--units", "2", "--vocab", str(files / "vocab.txt"),
+                                 "--tv", str(files / name)),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert err.startswith("error: ") and message in err
+        assert out == "" and not (files / "new.rgem").exists()
