@@ -8,11 +8,11 @@ unlabeled text (two-view embeddings) can be attached as additional input.
 
 from .corpus import (
     Dataset,
-    StopwordList,
     TokenSequence,
     Vocabulary,
     build_vocab,
     encode,
+    load_stopwords,
     target_vocab,
     tokenize,
 )

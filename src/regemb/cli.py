@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -69,6 +70,21 @@ def _checked(build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         _usage(str(exc))
+
+
+def _refuse_inert(args, rows):
+    """Refuse each flag of `rows` (flag, applies, where) that is given, its
+    value (from the command line or --config) differing from the parser
+    default, where it does not apply and so would change nothing."""
+    for flag, applies, where in rows:
+        if flag.split()[0] in args.given and not applies:
+            _usage(f"{flag} does not apply {where}")
+
+
+def _optimizer_rows(args):
+    return [("--momentum", not args.rmsprop, "with --rmsprop"),
+            ("--rmsprop-decay", args.rmsprop, "without --rmsprop"),
+            ("--rmsprop-eps", args.rmsprop, "without --rmsprop")]
 
 
 def _check_positive(args, *names):
@@ -197,17 +213,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser, args, argv):
+def _apply_config(sub, args, argv):
     """Fill flags not given on the command line from the --config file,
     parsing each value with its flag's own type and choices."""
     if not getattr(args, "config", None):
         return
-    text = corpus._read_text(args.config)
     explicit = {arg.partition("=")[0] for arg in argv}
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
     appended = {}
-    for line in text.splitlines():
+    for line in corpus.read_lines(args.config):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -237,11 +250,19 @@ def _apply_config(parser, args, argv):
 def load_word_vectors(path, vocab, scale=1.0):
     """`word v1 v2 ... vd` lines -> (d, |V|) matrix in vocabulary column order;
     words missing from the file get zero vectors.  The vectors of vocabulary
-    words must be finite numbers."""
+    words must be finite numbers.  A first line of two integers `count d`
+    (a word2vec text header) is skipped when d is the width that follows."""
+    lines = corpus.read_lines(path)
+    head = lines[0].split() if lines else []
+    following = next((p for p in map(str.split, itertools.islice(lines, 1, None))
+                      if len(p) >= 2), [])
+    if len(head) == 2 and all(p.isdecimal() for p in head) \
+            and int(head[1]) == len(following) - 1:
+        del lines[0]
     rows = None
     data = None
     found = 0
-    for line in corpus._read_text(path).splitlines():
+    for line in lines:
         parts = line.split()
         if len(parts) < 2:
             continue
@@ -328,10 +349,7 @@ def _branch_list(args, specs, defaults=None):
 
 
 def _check_train_flags(args):
-    wordvec = ARCHES[args.arch][2]
-    if not wordvec and (args.wordvec or args.embed_dim or args.freeze_wordvec):
-        _usage(f"word vectors do not apply to arch {args.arch}")
-    if wordvec and not (args.wordvec or args.embed_dim):
+    if ARCHES[args.arch][2] and not (args.wordvec or args.embed_dim):
         _usage("wv archs need --wordvec or --embed-dim")
     if args.arch == "multi" and not args.branch:
         _usage("--arch multi needs at least one --branch")
@@ -364,8 +382,8 @@ def cmd_build_vocab(args):
         # rank the whole corpus first so exclusion does not under-fill the cap
         distinct = len({t for toks in docs for t in toks})
         full = corpus.build_vocab(docs, max(args.size, distinct))
-        stop = corpus.StopwordList.from_file(args.stopwords)
-        vocab = corpus.target_vocab(full, stop, args.size)
+        vocab = corpus.target_vocab(full, corpus.load_stopwords(args.stopwords),
+                                    args.size)
     else:
         vocab = corpus.build_vocab(docs, args.size)
     vocab.save(args.out)
@@ -394,6 +412,18 @@ def cmd_train(args):
     if not math.isfinite(args.wordvec_scale):
         _usage("--wordvec-scale must be finite")
     cfg = _train_config(args, dropout_rate=args.dropout)
+    wordvec, arch = ARCHES[args.arch][2], f"to arch {args.arch}"
+    # --overlap needs --chop, so the --chop row covers it
+    _refuse_inert(args, [
+        ("--chop", any(kind == "lstm" for _, kind, _ in branches), "without an LSTM branch"),
+        ("--wordvec", wordvec, arch), ("--embed-dim", wordvec, arch),
+        ("--freeze-wordvec", wordvec, arch),
+        ("--dev-fraction", not args.dev, "with --dev"),
+        ("--dev-labels", bool(args.dev), "without --dev"),
+        ("--vocab-size", not args.vocab, "with --vocab"),
+        *_optimizer_rows(args),
+        ("--embed-dim", not args.wordvec, "with --wordvec"),
+        ("--wordvec-scale", bool(args.wordvec), "without --wordvec")])
     set_precision(f"float{args.precision}")
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
     vocab = corpus.Vocabulary.load(args.vocab) if args.vocab \
@@ -454,24 +484,14 @@ def cmd_train(args):
     return 0
 
 
-def _check_train_tv_flags(args):
-    """Refuse flags that would change nothing for the embedding kind."""
-    if args.kind == "cnn":
-        if args.region is None:
-            _usage("--kind cnn needs --region")
-        ignored = {"--chop": args.chop is not None, "--overlap": args.overlap != 0,
-                   "--direction bwd": args.direction == "bwd"}
-    else:
-        ignored = {"--region": args.region is not None,
-                   "--input-kind seq": args.input_kind == "seq"}
-    for flag, given in ignored.items():
-        if given:
-            _usage(f"{flag} does not apply to --kind {args.kind}")
-
-
 def cmd_train_tv(args):
-    _check_train_tv_flags(args)
+    if args.kind == "cnn" and args.region is None:
+        _usage("--kind cnn needs --region")
     _check_positive(args, "dim", "region")
+    lstm, kind = args.kind == "lstm", f"to --kind {args.kind}"
+    _refuse_inert(args, [("--chop", lstm, kind), ("--overlap", lstm, kind),
+                         ("--direction bwd", lstm, kind), ("--region", not lstm, kind),
+                         ("--input-kind seq", not lstm, kind), *_optimizer_rows(args)])
     cfg = _train_config(args)
     set_precision(f"float{args.precision}")
     vocab = corpus.Vocabulary.load(args.vocab)
@@ -518,7 +538,7 @@ def cmd_predict(args):
         raise DataError(f"{args.model}: model carries no vocabulary")
     token_docs = corpus.load_token_file(args.input, args.pretokenized)
     docs = [corpus.encode(toks, spec.vocab) for toks in token_docs]
-    for pred in np.argmax(model_mod.batch_scores(spec, docs), axis=0):
+    for pred in model_mod.predict(model_mod.batch_scores(spec, docs)):
         print(spec.class_names[pred])
     return 0
 
@@ -530,6 +550,8 @@ def cmd_gradcheck(args):
         _usage("--eps must be finite and > 0")
     if not math.isfinite(args.threshold):
         _usage("--threshold must be finite")
+    _refuse_inert(args, [("--precision", False, "to gradcheck (it always runs in float64)"),
+                         ("--pretokenized", False, "to gradcheck (it reads no file)")])
     set_precision("float64")
     rng = RngSpec(args.seed)
     gen = rng.stream("data")
@@ -567,7 +589,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args, argv)
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+        _apply_config(sub, args, argv)
+        args.given = {flag for a in sub._actions
+                      if getattr(args, a.dest, a.default) != a.default
+                      for flag in a.option_strings}
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

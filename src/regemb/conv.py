@@ -23,7 +23,6 @@ import numpy as np
 from .corpus import as_ids
 from .numkernel import (
     ColumnGrad,
-    RngSpec,
     as_side_by_side,
     gaussian_init,
     mapped_empty,
@@ -57,8 +56,7 @@ class ConvParams:
         return self.w.dtype
 
     @classmethod
-    def create(cls, maps, region_size, input_kind, vocab_size, rng=None, std=INIT_STD):
-        gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
+    def create(cls, maps, region_size, input_kind, vocab_size, gen, std=INIT_STD):
         cols = vocab_size * (region_size if input_kind == "seq" else 1)
         w = gaussian_init(maps, cols, std, gen)
         return cls(maps, region_size, input_kind, vocab_size, w,

@@ -2,7 +2,8 @@
 
 Text ingestion is line oriented: one document per line in token files, one
 class-name string per line in label files, one word per line in stopword
-files. All text is lowercased before counting or encoding.
+files. Lines end at "\n" only. All text is lowercased before counting or
+encoding.
 """
 
 from __future__ import annotations
@@ -16,35 +17,19 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    words: frozenset
-
-    def __post_init__(self):
-        lowered = frozenset(w.lower() for w in self.words)
-        object.__setattr__(self, "words", lowered)
-
-    @classmethod
-    def from_file(cls, path) -> "StopwordList":
-        words = [w.strip() for w in _read_text(path).splitlines()]
-        return cls(frozenset(w for w in words if w))
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
+def load_stopwords(path) -> frozenset:
+    """The lowercased words of a one-word-per-line file; blank lines skipped."""
+    return frozenset(w.lower() for w in (line.strip() for line in read_lines(path)) if w)
 
 
 class Vocabulary:
     """Word<->id map; ids are dense 0..n-1 in descending frequency order."""
 
-    def __init__(self, words, freq=None, size_limit=None):
+    def __init__(self, words):
         self.words = list(words)
-        self.size_limit = size_limit if size_limit is not None else len(self.words)
-        if len(self.words) > self.size_limit:
-            raise ValueError("vocabulary exceeds its size limit")
         self.index = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise ValueError("duplicate words in vocabulary")
-        self.freq = None if freq is None else np.asarray(freq, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -64,7 +49,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = _read_text(path).splitlines()
+        lines = read_lines(path)
         if not lines or not lines[0].startswith("#size="):
             raise DataError(f"{path}: missing '#size=' header")
         try:
@@ -75,7 +60,7 @@ class Vocabulary:
         if len(words) != size:
             raise DataError(f"{path}: header says {size} words, file has {len(words)}")
         try:
-            return cls(words, size_limit=size)
+            return cls(words)
         except ValueError as exc:  # a word listed twice
             raise DataError(f"{path}: {exc}") from None
 
@@ -147,9 +132,7 @@ def build_vocab(docs, size_limit: int) -> Vocabulary:
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size_limit]
-    words = [w for w, _ in ranked]
-    freq = [c for _, c in ranked]
-    return Vocabulary(words, freq=freq, size_limit=size_limit)
+    return Vocabulary(w for w, _ in ranked)
 
 
 def encode(tokens, vocab: Vocabulary, label: int | None = None) -> TokenSequence:
@@ -166,38 +149,45 @@ def as_ids(ids_or_seq) -> np.ndarray:
     return np.asarray(ids_or_seq, dtype=np.int64)
 
 
-def target_vocab(vocab: Vocabulary, stop: StopwordList, size_limit: int) -> Vocabulary:
+def target_vocab(vocab: Vocabulary, stop: frozenset, size_limit: int) -> Vocabulary:
     """Vocabulary for the prediction-target view: stopwords removed, then truncated."""
     if size_limit < 1:
         raise ValueError("size_limit must be >= 1")
-    kept = [(w, i) for i, w in enumerate(vocab.words) if w not in stop]
-    kept = kept[:size_limit]
-    if not kept:
+    words = [w for w in vocab.words if w not in stop][:size_limit]
+    if not words:
         raise DataError("all words removed; target vocabulary would be empty")
-    words = [w for w, _ in kept]
-    freq = None
-    if vocab.freq is not None:
-        freq = [int(vocab.freq[i]) for _, i in kept]
-    return Vocabulary(words, freq=freq, size_limit=size_limit)
+    return Vocabulary(words)
 
 
-def _read_text(path) -> str:
+def split_lines(text: str) -> list:
+    """The lines of `text`, split at "\n" only, each without a trailing
+    "\r" (so CRLF text reads the same).  Unlike str.splitlines, form feeds,
+    U+2028 and the other Unicode line breaks stay inside their line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file (see split_lines)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+    return split_lines(text)
 
 
 def load_token_file(path, pretokenized: bool = False) -> list:
     """One document per line -> list of token lists."""
     split = split_pretokenized if pretokenized else tokenize
-    return [split(line) for line in _read_text(path).splitlines()]
+    return [split(line) for line in read_lines(path)]
 
 
 def load_label_file(path) -> list:
-    return [line.strip() for line in _read_text(path).splitlines()]
+    return [line.strip() for line in read_lines(path)]
 
 
 def class_ids(label_names, class_names=None):

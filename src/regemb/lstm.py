@@ -32,7 +32,6 @@ import numpy as np
 
 from .numkernel import (
     ColumnGrad,
-    RngSpec,
     as_side_by_side,
     gaussian_init,
     scatter_add_columns,
@@ -90,8 +89,7 @@ class LstmParams:
         return self.wx.dtype
 
     @classmethod
-    def create(cls, variant, units, input_dim, input_kind="one-hot", rng=None, std=INIT_STD):
-        gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
+    def create(cls, variant, units, input_dim, input_kind, gen, std=INIT_STD):
         wx, wh = [], []
         for _ in GATES[variant]:  # the draws alternate wx, wh gate by gate
             wx.append(gaussian_init(units, input_dim, std, gen))

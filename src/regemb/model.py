@@ -22,7 +22,7 @@ from . import lstm as lstm_mod
 from . import tvembed as tv_mod
 from .corpus import Vocabulary, as_ids
 from .errors import DataError
-from .numkernel import ColumnGrad, RngSpec, gaussian_init, scatter_add_columns
+from .numkernel import ColumnGrad, gaussian_init, scatter_add_columns
 
 INIT_STD = 0.01
 # documents scored (and their tv outputs computed) per batched pass
@@ -97,8 +97,7 @@ class TopLayerParams:
     dropout_rate: float = 0.0
 
     @classmethod
-    def create(cls, n_classes, doc_dim, rng, std=INIT_STD, dropout_rate=0.0):
-        gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
+    def create(cls, n_classes, doc_dim, gen, std=INIT_STD, dropout_rate=0.0):
         w = gaussian_init(n_classes, doc_dim, std, gen)
         return cls(w, np.zeros(n_classes, dtype=w.dtype), dropout_rate)
 
@@ -234,17 +233,12 @@ def iter_tensors(spec: ModelSpec):
             yield f"tv.{tv_id}.{name}", arr
 
 
-def tv_ids_used(spec: ModelSpec) -> list:
-    """The tv ids that side channels read, in order of first use."""
-    return list(dict.fromkeys(sp.tv_id for branch in spec.branches
-                              for params in branch.layers for sp in params.side))
-
-
 def tv_outputs(spec: ModelSpec, docs) -> dict | None:
     """The frozen-embedding outputs of the documents side by side, keyed by
-    tv id ({tv_id: (dim, N)}), or None when no branch has side channels;
-    one apply_tv call per embedding."""
-    tv_ids = tv_ids_used(spec)
+    tv id ({tv_id: (dim, N)}) in order of first use by a side channel, or
+    None when no branch has side channels; one apply_tv call per embedding."""
+    tv_ids = dict.fromkeys(sp.tv_id for branch in spec.branches
+                           for params in branch.layers for sp in params.side)
     if not tv_ids:
         return None
     for tv_id in tv_ids:
@@ -253,9 +247,8 @@ def tv_outputs(spec: ModelSpec, docs) -> dict | None:
     return {tv_id: tv_mod.apply_tv(spec.tv_table[tv_id], docs) for tv_id in tv_ids}
 
 
-def attach_embeddings(spec: ModelSpec, embeddings, rng) -> ModelSpec:
-    """Attach frozen embeddings as side input to every branch."""
-    gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
+def attach_embeddings(spec: ModelSpec, embeddings, gen) -> ModelSpec:
+    """Attach frozen embeddings as side input to every branch (side matrices from `gen`)."""
     for emb in embeddings:
         if emb.name in spec.tv_table:
             raise ValueError(f"tv embedding {emb.name!r} already attached")
@@ -337,9 +330,9 @@ def square_loss(scores: np.ndarray, label: int, encoding: str = "01"):
     return float(diff @ diff), 2.0 * diff
 
 
-def predict(scores: np.ndarray) -> int:
-    """Argmax class id; ties break toward the lowest index."""
-    return int(np.argmax(scores))
+def predict(scores: np.ndarray) -> np.ndarray:
+    """Class id of each column of (n_classes, n_docs) scores; ties go to the lowest."""
+    return np.argmax(scores, axis=0)
 
 
 def model_forward(spec: ModelSpec, doc, tv_outs=None) -> np.ndarray:
@@ -399,7 +392,7 @@ def confusion(spec: ModelSpec, dataset, tv_outs=None) -> np.ndarray:
         raise DataError("evaluation documents must all be labeled")
     counts = np.zeros((spec.n_classes, spec.n_classes), dtype=np.int64)
     np.add.at(counts, ([d.label for d in docs],
-                       np.argmax(batch_scores(spec, docs, tv_outs), axis=0)), 1)
+                       predict(batch_scores(spec, docs, tv_outs))), 1)
     return counts
 
 

@@ -48,23 +48,16 @@ def precision(mode: str):
         set_precision(previous)
 
 
-# One fixed generator algorithm; every consumer derives its stream from an
-# RngSpec so a whole run is reproducible from a single seed.
-RNG_ALGORITHM = "pcg64"
-
+# Every consumer derives its PCG64 stream from an RngSpec, so a whole run is
+# reproducible from a single seed.
 _STREAM_IDS = {"init": 0, "dropout": 1, "sampling": 2, "shuffle": 3, "data": 4}
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus algorithm id; same spec always yields bit-identical streams."""
+    """A run's seed; the same seed always yields bit-identical streams."""
 
     seed: int
-    algorithm: str = RNG_ALGORITHM
-
-    def __post_init__(self):
-        if self.algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
 
     def stream(self, purpose: str = "init", *key: int) -> np.random.Generator:
         """Fresh generator for a purpose; identical arguments replay the stream."""
@@ -83,15 +76,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-np.asarray(x)))
 
 
-def gaussian_init(rows: int, cols: int, std: float, rng) -> np.ndarray:
-    """i.i.d. Normal(0, std^2) matrix in the active precision.
-
-    `rng` may be an RngSpec (pure: every call replays the same stream) or a
-    live numpy Generator (sequential: consecutive calls draw fresh values).
-    """
+def gaussian_init(rows: int, cols: int, std: float, gen) -> np.ndarray:
+    """i.i.d. Normal(0, std^2) matrix in the active precision, drawn from the
+    numpy Generator `gen` (consecutive calls draw fresh values)."""
     if std <= 0:
         raise ValueError("std must be positive")
-    gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
     out = gen.standard_normal((rows, cols), dtype=real_dtype())
     out *= std
     return out

@@ -111,11 +111,10 @@ class Updater:
             sgd_step(param, grad, slot, self.cfg)
 
 
-def dropout_mask(dim: int, rate: float, rng) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
+def dropout_mask(dim: int, rate: float, gen) -> np.ndarray:
+    """Inverted-dropout mask drawn from `gen`: entries are 0 or 1/(1-rate)."""
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
-    gen = rng.stream("dropout") if isinstance(rng, RngSpec) else rng
     if rate == 0:
         return np.ones(dim, dtype=real_dtype())
     keep = gen.random(dim) >= rate

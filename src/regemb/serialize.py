@@ -21,7 +21,7 @@ from . import conv as conv_mod
 from . import lstm as lstm_mod
 from . import model as model_mod
 from . import tvembed as tv_mod
-from .corpus import Vocabulary
+from .corpus import Vocabulary, split_lines
 from .errors import DataError
 from .numkernel import all_finite, real_dtype
 
@@ -94,7 +94,7 @@ def load_tensors(path):
                 raise DataError(f"{path}: unsupported format version {version}")
             (meta_len,) = struct.unpack("<I", fh.read(take(4)))
             metadata = {}
-            for line in fh.read(take(meta_len)).decode("utf-8").splitlines():
+            for line in split_lines(fh.read(take(meta_len)).decode("utf-8")):
                 key, _, value = line.partition("=")
                 metadata[key] = value
             (n_tensors,) = struct.unpack("<I", fh.read(take(4)))

@@ -350,10 +350,9 @@ def apply_tv(emb: TvEmbedding, docs) -> np.ndarray:
     return out
 
 
-def attach(params, emb_list, rng) -> None:
-    """Add Gaussian-initialized side matrices feeding each embedding's output
+def attach(params, emb_list, gen) -> None:
+    """Add side matrices drawn from `gen`, feeding each embedding's output
     into the branch parameters; the embeddings themselves stay frozen."""
-    gen = rng.stream("init") if isinstance(rng, RngSpec) else rng
     existing = {sp.tv_id for sp in params.side}
     for emb in emb_list:
         if emb.name in existing:

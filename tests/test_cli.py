@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from regemb.cli import ARCHES, load_word_vectors, main
 from regemb.corpus import Vocabulary
+from regemb.errors import DataError
 from regemb.serialize import load_tensors, save_tensors
 
 
@@ -391,6 +392,22 @@ class TestWordVectors:
         np.testing.assert_array_equal(mat[:, 0], [2, 4])
         np.testing.assert_array_equal(mat[:, 1], [0, 0])
         np.testing.assert_array_equal(mat[:, 2], [6, 8])
+
+    def test_word2vec_header_is_skipped(self, tmp_path):
+        vocab = Vocabulary(["apple", "3"])
+        wv = tmp_path / "vec.txt"
+        wv.write_text("3 2\napple 1 2\n3 5 6\nunknown 9 9\n")
+        mat, found = load_word_vectors(wv, vocab)
+        assert found == 2
+        np.testing.assert_array_equal(mat, [[1, 5], [2, 6]])
+
+    @pytest.mark.parametrize("text", ["3 5\napple 1 2\n", "3 2\napple 1 2 3\n",
+                                      "apple 1 2\n3 2\n"])
+    def test_other_width_mismatch_is_data_error(self, tmp_path, text):
+        wv = tmp_path / "vec.txt"
+        wv.write_text(text)
+        with pytest.raises(DataError, match="inconsistent vector width"):
+            load_word_vectors(wv, Vocabulary(["apple"]))
 
     def test_wv_arch_end_to_end(self, corpus_files, capsys, tmp_path):
         wv = tmp_path / "vec.txt"
@@ -779,3 +796,119 @@ class TestDisagreeingFiles:
         assert code == 2, err
         assert err.startswith("error: ") and message in err
         assert out == "" and not (files / "new.rgem").exists()
+
+
+def _train_tv_argv(files, out, *argv):
+    vocab = str(files / "vocab.txt")
+    return ["train-tv", "--kind", "lstm", "--dim", "2", "--vocab", vocab,
+            "--target-vocab", vocab, "--unlabeled", str(files / "train.txt"),
+            "--out", str(out), "--epochs", "1", *argv]
+
+
+class TestInertFlags:
+    """A flag given (its value differing from the default, also through
+    --config) where it changes nothing is a usage error."""
+
+    # (train flags, or train-tv/gradcheck and their flags; the flag the error
+    # names); every row exits 0 and writes the same file without the check
+    CASES = [
+        (["--arch", "seq-cnn", "--maps", "2", "--chop", "4"], "--chop"),
+        (["--arch", "bow-cnn", "--maps", "2", "--chop", "4", "--overlap", "1"], "--chop"),
+        (["--arch", "multi", "--branch", "conv:maps=2", "--branch", "conv:kind=bow,maps=2",
+          "--chop", "4"], "--chop"),
+        (["--arch", "oh-lstmp", "--units", "2", "--dev", "test.txt",
+          "--dev-labels", "test.lab"], "--dev-fraction"),
+        (["--arch", "oh-lstmp", "--units", "2", "--dev-labels", "test.lab"], "--dev-labels"),
+        (["--arch", "oh-lstmp", "--units", "2", "--vocab", "vocab.txt",
+          "--vocab-size", "50"], "--vocab-size"),
+        (["--arch", "oh-lstmp", "--units", "2", "--rmsprop", "--momentum", "0.5"],
+         "--momentum"),
+        (["--arch", "oh-lstmp", "--units", "2", "--rmsprop-decay", "0.95"],
+         "--rmsprop-decay"),
+        (["--arch", "oh-lstmp", "--units", "2", "--rmsprop-eps", "1e-5"], "--rmsprop-eps"),
+        (["--arch", "oh-lstmp", "--units", "2", "--rmsprop", "--config", "momentum.cfg"],
+         "--momentum"),
+        (["--arch", "wv-lstm", "--units", "2", "--wordvec", "vec.txt", "--embed-dim", "3"],
+         "--embed-dim"),
+        (["--arch", "wv-lstm", "--units", "2", "--embed-dim", "3", "--wordvec-scale", "5"],
+         "--wordvec-scale"),
+        (["train-tv", "--rmsprop", "--momentum", "0.5"], "--momentum"),
+        (["train-tv", "--rmsprop-decay", "0.95"], "--rmsprop-decay"),
+        (["train-tv", "--rmsprop-eps", "1e-5"], "--rmsprop-eps"),
+        (["gradcheck", "--precision", "64"], "--precision"),
+        (["gradcheck", "--pretokenized"], "--pretokenized"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_is_usage_error(self, corpus_files, capsys, argv, flag):
+        _vocab(corpus_files, capsys)
+        (corpus_files / "vec.txt").write_text("f1 0.5 0.25\n")
+        (corpus_files / "momentum.cfg").write_text("momentum=0.5\n")
+        argv = [str(corpus_files / a) if a.endswith((".txt", ".lab", ".cfg")) else a
+                for a in argv]
+        out = corpus_files / "out.bin"
+        if argv[0] == "train-tv":
+            argv = _train_tv_argv(corpus_files, out, *argv[1:])
+        elif argv[0] != "gradcheck":
+            argv = _train_argv(corpus_files, out, *argv)
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1, err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
+    def test_flags_the_benchmark_passes_stay_accepted(self, corpus_files, capsys):
+        common = ["--seed", "1", "--workers", "2", "--precision", "32"]
+        vocab = _vocab(corpus_files, capsys)
+        model, tv = corpus_files / "m.rgem", corpus_files / "t.tv"
+        for argv in (
+                ["build-vocab", "--input", str(corpus_files / "train.txt"),
+                 "--out", str(corpus_files / "v2.txt"), *common],
+                _train_tv_argv(corpus_files, tv, "--dev-fraction", "0.2",
+                               "--momentum", "0.5", *common),
+                _train_argv(corpus_files, model, "--arch", "oh-lstmp", "--units", "2",
+                            "--vocab", vocab, "--momentum", "0.5", *common),
+                ["eval", "--model", str(model), "--test", str(corpus_files / "test.txt"),
+                 "--labels", str(corpus_files / "test.lab"), *common],
+                ["predict", "--model", str(model),
+                 "--input", str(corpus_files / "test.txt"), *common],
+                ["gradcheck", "--seed", "2", "--workers", "2"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+
+
+def _predict_three_lines(files, capsys):
+    code, _, err = run(capsys, *_train_argv(files, files / "m.rgem", "--arch", "oh-lstmp",
+                                            "--units", "2"))
+    assert code == 0, err
+    (files / "in.txt").write_text("good f1\x0cf2\nbad f3\u2028f4\nf5\n", encoding="utf-8")
+    code, out, err = run(capsys, "predict", "--model", str(files / "m.rgem"),
+                         "--input", str(files / "in.txt"))
+    assert code == 0, err
+    assert len(out.splitlines()) == 3, out
+
+
+def _train_on_next_line_char(files, capsys):
+    lines = (files / "train.txt").read_text().split("\n")
+    lines[0] = lines[0].replace(" ", "\x85", 1)
+    (files / "train.txt").write_text("\n".join(lines), encoding="utf-8")
+    code, _, err = run(capsys, *_train_argv(files, files / "m.rgem", "--arch", "oh-lstmp",
+                                            "--units", "2"))
+    assert code == 0, err
+
+
+def _tv_named_with_line_separator(files, capsys):
+    vocab = _vocab(files, capsys)
+    tv = files / "a\u2028b.tv"
+    code, _, err = run(capsys, *_train_tv_argv(files, tv))
+    assert code == 0, err
+    code, _, err = run(capsys, *_train_argv(files, files / "m.rgem", "--arch", "oh-lstmp",
+                                            "--units", "2", "--vocab", vocab, "--tv", str(tv)))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("case", [_predict_three_lines, _train_on_next_line_char,
+                                  _tv_named_with_line_separator],
+                         ids=["predict", "train", "train-tv"])
+def test_lines_end_at_newline_only(corpus_files, capsys, case):
+    """Form feeds, U+0085 and U+2028 inside a line do not end it."""
+    case(corpus_files, capsys)

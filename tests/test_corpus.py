@@ -3,7 +3,6 @@ import pytest
 
 from regemb.corpus import (
     Dataset,
-    StopwordList,
     TokenSequence,
     Vocabulary,
     build_vocab,
@@ -12,6 +11,7 @@ from regemb.corpus import (
     encode,
     load_dataset,
     load_label_file,
+    load_stopwords,
     load_token_file,
     split_pretokenized,
     target_vocab,
@@ -51,7 +51,6 @@ class TestBuildVocab:
         v = build_vocab([["a", "b", "a"]], 10)
         assert v.words == ["a", "b"]
         assert v.index == {"a": 0, "b": 1}
-        np.testing.assert_array_equal(v.freq, [2, 1])
 
     def test_lexicographic_tie_break(self):
         v = build_vocab([["a", "b", "a", "c"]], 2)
@@ -156,25 +155,25 @@ class TestChop:
 
 class TestTargetVocab:
     def test_stopwords_removed(self):
-        v = Vocabulary(["the", "movie", "good"], freq=[10, 5, 2])
-        t = target_vocab(v, StopwordList(frozenset({"the"})), 30000)
+        v = Vocabulary(["the", "movie", "good"])
+        t = target_vocab(v, frozenset({"the"}), 30000)
         assert t.words == ["movie", "good"]
 
     def test_empty_stoplist_truncates_only(self):
-        v = Vocabulary(["a", "b", "c"], freq=[3, 2, 1])
-        t = target_vocab(v, StopwordList(frozenset()), 2)
+        v = Vocabulary(["a", "b", "c"])
+        t = target_vocab(v, frozenset(), 2)
         assert t.words == ["a", "b"]
 
     def test_all_stopped_is_error(self):
         v = Vocabulary(["the", "a"])
         with pytest.raises(DataError):
-            target_vocab(v, StopwordList(frozenset({"the", "a"})), 10)
+            target_vocab(v, frozenset({"the", "a"}), 10)
 
     def test_stopwords_are_lowercased(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("The\nA\n\nof\n", encoding="utf-8")
-        stop = StopwordList.from_file(path)
-        assert stop.words == frozenset({"the", "a", "of"})
+        stop = load_stopwords(path)
+        assert stop == frozenset({"the", "a", "of"})
         assert "the" in stop and "The" not in stop
 
 

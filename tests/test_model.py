@@ -235,6 +235,10 @@ class TestPredict:
         scores = rng.standard_normal(55)
         assert 0 <= predict(scores) < 55
 
+    def test_one_class_per_document_column(self):
+        scores = np.array([[0.1, 0.7, 0.5], [0.9, 0.2, 0.5]])
+        np.testing.assert_array_equal(predict(scores), [1, 0, 0])
+
 
 class TestModelForward:
     def test_hand_computed_conv_model(self):

@@ -124,7 +124,8 @@ class TestRmspropStep:
 
 class TestDropoutMask:
     def test_rate_zero_all_ones(self):
-        np.testing.assert_array_equal(dropout_mask(16, 0.0, RngSpec(0)), np.ones(16))
+        np.testing.assert_array_equal(
+            dropout_mask(16, 0.0, RngSpec(0).stream("dropout")), np.ones(16))
 
     def test_mean_near_one(self):
         gen = RngSpec(1).stream("dropout")
@@ -133,13 +134,13 @@ class TestDropoutMask:
         assert set(np.unique(m)).issubset({0.0, 2.0})
 
     def test_same_seed_same_mask(self):
-        a = dropout_mask(64, 0.3, RngSpec(5))
-        b = dropout_mask(64, 0.3, RngSpec(5))
+        a = dropout_mask(64, 0.3, RngSpec(5).stream("dropout"))
+        b = dropout_mask(64, 0.3, RngSpec(5).stream("dropout"))
         np.testing.assert_array_equal(a, b)
 
     def test_rate_range_checked(self):
         with pytest.raises(ValueError):
-            dropout_mask(4, 1.0, RngSpec(0))
+            dropout_mask(4, 1.0, RngSpec(0).stream("dropout"))
 
 
 class TestTrain:

@@ -119,7 +119,7 @@ class TestLstmColumnGrad:
         np.testing.assert_array_equal(grads.wx.cols, np.unique(np.concatenate(seqs)))
 
     def test_empty_batch_is_zero(self):
-        params = LstmParams.create("simplified", 2, 6, "one-hot", RngSpec(0))
+        params = LstmParams.create("simplified", 2, 6, "one-hot", RngSpec(0).stream("init"))
         _, run = batch_forward_docs(params, [np.zeros(0, np.int64)])
         grads, _ = batch_backward_docs(run, np.zeros((2, 0)))
         np.testing.assert_array_equal(np.asarray(grads.wx), np.zeros((4, 6)))

@@ -3,7 +3,7 @@ import pytest
 
 from regemb import conv as conv_mod
 from regemb import lstm as lstm_mod
-from regemb.corpus import Dataset, StopwordList, TokenSequence, Vocabulary, target_vocab
+from regemb.corpus import Dataset, TokenSequence, Vocabulary, target_vocab
 from regemb.errors import DataError
 from regemb.numkernel import ColumnGrad, RngSpec, precision
 from regemb.optim import TrainConfig
@@ -88,8 +88,8 @@ class TestTvTargets:
         np.testing.assert_array_equal(ids, [0, 1])  # target ids of w1, w3
 
     def test_no_stopwords_in_targets(self):
-        source = Vocabulary(["the", "good", "movie"], freq=[5, 3, 2])
-        tgt = target_vocab(source, StopwordList(frozenset({"the"})), 10)
+        source = Vocabulary(["the", "good", "movie"])
+        tgt = target_vocab(source, frozenset({"the"}), 10)
         spec = TvObjectiveSpec.build(source, tgt, k_next=3, neg_samples=0)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -284,7 +284,7 @@ class TestAttach:
                                             rng.stream("init"))
         base = params.copy()
         emb = TestApplyTv()._lstm_emb(seed=1)
-        attach(params, [emb], rng)
+        attach(params, [emb], rng.stream("init"))
         for sp in params.side:
             sp.w[:] = 0.0
         ids = np.array([0, 2, 4, 1])
@@ -297,7 +297,7 @@ class TestAttach:
         rng = RngSpec(1)
         params = lstm_mod.LstmParams.create("full", 3, 6, "one-hot", rng.stream("init"))
         emb = TestApplyTv()._lstm_emb(seed=2)
-        attach(params, [emb], rng)
+        attach(params, [emb], rng.stream("init"))
         assert params.side[0].w.shape == (4 * 3, emb.dim)  # a row block per gate
         side_names = [name for name, _ in lstm_mod.gate_tensors(params)
                       if name.startswith("side.")]
@@ -307,7 +307,7 @@ class TestAttach:
         rng = RngSpec(2)
         params = conv_mod.ConvParams.create(4, 2, "seq", 6, rng.stream("init"))
         emb = TestApplyTv()._cnn_emb(seed=3)
-        attach(params, [emb], rng)
+        attach(params, [emb], rng.stream("init"))
         assert params.side[0].w.shape == (4, emb.dim)
 
     def test_duplicate_rejected(self):
@@ -315,9 +315,9 @@ class TestAttach:
         params = lstm_mod.LstmParams.create("simplified", 2, 4, "one-hot",
                                             rng.stream("init"))
         emb = TestApplyTv()._lstm_emb(seed=4, vocab=4)
-        attach(params, [emb], rng)
+        attach(params, [emb], rng.stream("init"))
         with pytest.raises(ValueError):
-            attach(params, [emb], rng)
+            attach(params, [emb], rng.stream("init"))
 
     def test_five_embedding_combination(self):
         # two LSTM directions plus three CNN variants on one branch
@@ -330,7 +330,7 @@ class TestAttach:
                 helper._cnn_emb(seed=12, region=1),
                 helper._cnn_emb(seed=13, region=3),
                 helper._cnn_emb(seed=14, region=5)]
-        attach(params, embs, rng)
+        attach(params, embs, rng.stream("init"))
         assert [sp.tv_id for sp in params.side] == [e.name for e in embs]
         ids = np.arange(8) % 6
         side = [apply_tv(e, [ids]) for e in embs]
@@ -370,7 +370,7 @@ class TestAttach:
         rng = RngSpec(5)
         params = conv_mod.ConvParams.create(3, 2, "seq", 5, rng.stream("init"))
         emb = TestApplyTv()._cnn_emb(seed=6, vocab=5, region=1)
-        attach(params, [emb], rng)
+        attach(params, [emb], rng.stream("init"))
         ids = np.array([0, 4, 2, 1])
         sv = [apply_tv(emb, [ids])]
         pre1 = conv_mod.pre_activation(params, ids, [4], sv)
