@@ -424,6 +424,8 @@ def cmd_train(args):
         *_optimizer_rows(args),
         ("--embed-dim", not args.wordvec, "with --wordvec"),
         ("--wordvec-scale", bool(args.wordvec), "without --wordvec")])
+    if args.dev and not args.dev_labels:
+        _usage("--dev needs --dev-labels")
     set_precision(f"float{args.precision}")
     token_docs = corpus.load_token_file(args.train_file, args.pretokenized)
     vocab = corpus.Vocabulary.load(args.vocab) if args.vocab \
@@ -437,8 +439,6 @@ def cmd_train(args):
 
     rng = RngSpec(args.seed)
     if args.dev:
-        if not args.dev_labels:
-            _usage("--dev needs --dev-labels")
         dev_set = corpus.load_dataset(args.dev, args.dev_labels, vocab,
                                       class_names, args.pretokenized)
         train_docs = docs

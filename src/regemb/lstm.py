@@ -166,8 +166,8 @@ class LstmGrads:
 # and outputs and upstream gradients travel back through it, so callers
 # see every document in position order.
 #
-# Nothing is padded to (steps, rows, segments): a run keeps one entry per
-# pair.
+# Nothing is padded to (steps, rows, segments): a run that a backward
+# pass follows keeps one entry per pair.
 # - gates: (n_valid, G*units), pair-major.  The one-hot gather
 #   wx[:, ids] already lays its (G*units, n_valid) result out pair by pair
 #   (dense and side products are transposed once), so step t's gate
@@ -183,6 +183,12 @@ class LstmGrads:
 # block and copies it into the pair-major (n_valid, G*units) `flat` that
 # the weight gradients reduce.
 #
+# A pass for outputs only (for_backward=False) runs the same steps but
+# keeps only h: every step's c and tanh(c) go to the same packed (units,
+# nt) block at the front of a (units * n_seqs) buffer each (the previous
+# c is read into a temporary before the new c overwrites it), and the
+# gate activations are dropped before the outputs are gathered.
+#
 # Outputs and gradients are bit for bit those of an engine that padded
 # every run (pinned by tests/data/engine.npz), because:
 # 1. every BLAS operand is C-ordered or a strided view of a C-ordered
@@ -197,7 +203,10 @@ class LstmGrads:
 #    or pair-major (gates, upstream), so that it is one contiguous chunk:
 #    the same state in (rows, n_valid) matrices is bit-identical, but a
 #    step's slice then has each row on its own page, which made BPTT
-#    steps about 25% slower.
+#    steps about 25% slower;
+# 5. np.tanh writes into a packed block, never into the strided hs[:, a:b]:
+#    numpy's contiguous (SIMD) and strided tanh loops may round
+#    differently.
 # ---------------------------------------------------------------------------
 
 
@@ -276,8 +285,50 @@ def _block(buf, rows, a, b):
     return buf[rows * a:rows * b].reshape(rows, b - a)
 
 
+def _recur(params, override, gates, widths, for_backward):
+    """Run the steps of a pass, overwriting each step's gate pre-activations
+    in `gates` with its activations.  Returns h (units, n_valid) and the
+    c and tanh(c) buffers: every step's packed block with `for_backward`,
+    else one block that every step reuses."""
+    units = params.units
+    dt = params.dtype
+    n = int(widths[0]) if widths.size else 0
+    n_valid = gates.shape[0]
+    rows = _gate_rows(params)
+    fixed = override.fixed_rows(rows)
+    full = params.variant == "full"
+    tcs = np.empty(units * (n_valid if for_backward else n), dtype=dt)
+    cs = np.empty_like(tcs)
+    hs = np.empty((units, n_valid), dtype=dt)
+    c_prev = h_prev = np.zeros((units, n), dtype=dt)  # the initial state
+
+    for a, b, _ in _steps(widths):
+        nt = b - a
+        s = a if for_backward else 0  # where this step's c and tanh(c) go
+        act = gates[a:b].T
+        pre = params.wh @ h_prev[:, :nt]
+        pre += act
+        act[:-units] = sigmoid(pre[:-units])
+        act[-units:] = np.tanh(pre[-units:])
+        for block in fixed:
+            act[block] = 1.0
+        f, u = act[rows["f"]], act[rows["u"]]
+        c = _block(cs, units, s, s + nt)
+        if full:
+            np.add(act[rows["i"]] * u, f * c_prev[:, :nt], out=c)
+        else:
+            np.add(u, f * c_prev[:, :nt], out=c)
+        tc = np.tanh(c, out=_block(tcs, units, s, s + nt))
+        if full:
+            np.multiply(act[rows["o"]], tc, out=hs[:, a:b])
+        else:
+            hs[:, a:b] = tc
+        c_prev, h_prev = c, hs[:, a:b]
+    return hs, cs, tcs
+
+
 def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
-                       overlap=0, override=None, reverse=False):
+                       overlap=0, override=None, reverse=False, for_backward=True):
     """Chop every document and run all segments through one batched pass.
 
     inputs_list: per document an id array (one-hot) or an (input_dim, T)
@@ -286,11 +337,12 @@ def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
     State starts at zero in every segment (the chopping training
     approximation); with `reverse` each segment reads right to left.
     Returns the (units, N) outputs of the documents side by side, indexed
-    by position, plus the run state consumed by batch_backward_docs.
+    by position, plus the run state consumed by batch_backward_docs; with
+    `for_backward` off the pass keeps only what the outputs need and the
+    run is None.
     """
     override = override or GateOverride()
     inputs_list = [_normalize_input(params, x) for x in inputs_list]
-    units = params.units
     dt = params.dtype
     one_hot = params.input_kind == "one-hot"
     totals = [x.shape[0] if one_hot else x.shape[1] for x in inputs_list]
@@ -299,8 +351,7 @@ def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
         raise ValueError(f"expected {len(params.side)} side matrices")
 
     lengths, first, warm = _plan(totals, seg_len, overlap, reverse)
-    n = lengths.size
-    t_max = int(lengths.max()) if n else 0
+    t_max = int(lengths.max()) if lengths.size else 0
     order = np.argsort(-lengths, kind="stable")
     widths = np.searchsorted(-lengths[order], -np.arange(t_max), side="left")
     n_valid = int(widths.sum())
@@ -329,44 +380,17 @@ def batch_forward_docs(params, inputs_list, sides=None, seg_len=None,
     gates = np.ascontiguousarray(zf.T)  # a copy only for dense inputs
     del zf
     gates += params.bias
-
-    rows = _gate_rows(params)
-    fixed = override.fixed_rows(rows)
-    full = params.variant == "full"
-    tcs = np.empty(units * n_valid, dtype=dt)
-    cs = np.empty(units * n_valid, dtype=dt)
-    hs = np.empty((units, n_valid), dtype=dt)
-    c_prev = h_prev = np.zeros((units, n), dtype=dt)  # the initial state
-
-    for a, b, _ in _steps(widths):
-        nt = b - a
-        act = gates[a:b].T
-        pre = params.wh @ h_prev[:, :nt]
-        pre += act
-        act[:-units] = sigmoid(pre[:-units])
-        act[-units:] = np.tanh(pre[-units:])
-        for block in fixed:
-            act[block] = 1.0
-        f, u = act[rows["f"]], act[rows["u"]]
-        c = _block(cs, units, a, b)
-        if full:
-            np.add(act[rows["i"]] * u, f * c_prev[:, :nt], out=c)
-        else:
-            np.add(u, f * c_prev[:, :nt], out=c)
-        tc = np.tanh(c, out=_block(tcs, units, a, b))
-        if full:
-            np.multiply(act[rows["o"]], tc, out=hs[:, a:b])
-        else:
-            hs[:, a:b] = tc
-        c_prev, h_prev = c, hs[:, a:b]
+    if not for_backward:
+        flat_ids = x_flat = sv_flat = None  # only the backward pass reads them
+    hs, cs, tcs = _recur(params, override, gates, widths, for_backward)
+    run = _DocsRun(params, override, totals, widths, src, emit, flat_ids, x_flat,
+                   sv_flat, gates, tcs, cs, hs) if for_backward else None
+    del gates  # held by the run, or no longer needed
 
     # each position is emitted by exactly one pair
     pair = np.empty(sum(totals), dtype=np.int64)
     pair[src[emit]] = emit
-    out = np.take(hs, pair, axis=1)
-    run = _DocsRun(params, override, totals, widths, src, emit,
-                   flat_ids, x_flat, sv_flat, gates, tcs, cs, hs)
-    return out, run
+    return np.take(hs, pair, axis=1), run
 
 
 def batch_backward_docs(run, upstream, want_input_grad=False):
@@ -456,7 +480,7 @@ def forward_sequence(params, inputs, seg_len=None, side_seq=None, override=None,
     Outputs stay indexed by position either way.
     """
     return batch_forward_docs(params, [inputs], side_seq, seg_len, overlap,
-                              override, reverse)[0]
+                              override, reverse, for_backward=False)[0]
 
 
 def sequence_gradients(params, inputs, upstream, seg_len=None, side_seq=None,

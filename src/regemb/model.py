@@ -263,55 +263,72 @@ def attach_embeddings(spec: ModelSpec, embeddings, gen) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _branch_forward(branch, docs, tv_outs, chop_len, overlap):
-    """The (out_dim, N) branch outputs, plus the run that the backward pass
-    consumes: the conv run, or the per-part LSTM runs.  The whole minibatch
-    is one batched pass per part; each layer's side channels read their
-    embeddings' columns of `tv_outs` (None only when no layer has any)."""
+def _branch_forward(branch, docs, totals, tv_outs, chop_len, overlap, for_backward):
+    """The (out_dim*regions, n_docs) pooled branch outputs, plus per part
+    (the conv layer, or each LSTM direction) its (outputs, run) for the
+    backward pass; no parts without `for_backward`.  Each part is one
+    batched pass over the whole minibatch, pooled before the next part
+    runs; its side channels read their embeddings' columns of `tv_outs`
+    (None only when no layer has any)."""
     if isinstance(branch, ConvBranch):
-        return conv_mod.conv_forward(branch.params, docs,
-                                     [tv_outs[sp.tv_id] for sp in branch.params.side])
+        h, run = conv_mod.conv_forward(branch.params, docs,
+                                       [tv_outs[sp.tv_id] for sp in branch.params.side])
+        return pool(h, branch.pooling, totals), [(h, run)] if for_backward else []
     inputs = [as_ids(doc) for doc in docs]
     if branch.embedding is not None:
         inputs = [branch.embedding[:, ids] for ids in inputs]
-    parts = [lstm_mod.batch_forward_docs(params, inputs,
-                                         [tv_outs[sp.tv_id] for sp in params.side],
-                                         chop_len, overlap, reverse=reverse)
-             for _, params, reverse in branch.parts()]
-    return np.concatenate([h for h, _ in parts]), [run for _, run in parts]
+    k, n_docs = branch.pooling.regions, len(docs)
+    pooled, parts = [], []
+    for _, params, reverse in branch.parts():
+        h, run = lstm_mod.batch_forward_docs(params, inputs,
+                                             [tv_outs[sp.tv_id] for sp in params.side],
+                                             chop_len, overlap, reverse=reverse,
+                                             for_backward=for_backward)
+        # pool writes region by region: the parts' rows interleave per region
+        pooled.append(pool(h, branch.pooling, totals).reshape(k, params.units, n_docs))
+        if for_backward:
+            parts.append((h, run))
+        del h, run  # a scoring pass keeps one part's outputs at a time
+    return np.concatenate(pooled, axis=1).reshape(k * branch.out_dim, n_docs), parts
 
 
-def _branch_backward(branch, prefix, run, docs, dh, grads: dict):
+def _branch_backward(branch, prefix, parts, docs, totals, dp, grads: dict):
+    """Gradients of a branch from dp, the gradient of its pooled outputs."""
     if isinstance(branch, ConvBranch):
-        cg = conv_mod.backward_from_mask(run, dh)
+        (h, run), = parts
+        cg = conv_mod.backward_from_mask(run, pool_backward(h, branch.pooling, totals, dp))
         grads[f"{prefix}.w"] = cg.w
         grads[f"{prefix}.b"] = cg.b
         for sp, sg in zip(branch.params.side, cg.side):
             grads[f"{prefix}.side.{sp.tv_id}.w"] = sg
         return
 
-    parts = branch.parts()
     want_emb = branch.embedding is not None and branch.train_embedding
-    ups = np.split(dh, np.cumsum([p.units for _, p, _ in parts])[:-1])
     if want_emb:
         # the input gradient's columns are the documents side by side
         ids = np.concatenate([doc.ids for doc in docs])
         emb_grad = ColumnGrad.over(branch.embedding.shape, [ids], branch.embedding.dtype)
         slots = emb_grad.slots(ids)
         grads[f"{prefix}.emb"] = emb_grad
-    for (tag, params, _), part_run, up in zip(parts, run, ups):
+    k, n_docs = branch.pooling.regions, len(docs)
+    dp = dp.reshape(k, branch.out_dim, n_docs)
+    lo = 0
+    for (tag, params, _), (h, part_run) in zip(branch.parts(), parts):
+        dp_part = dp[:, lo:lo + params.units].reshape(k * params.units, n_docs)
+        lo += params.units
+        up = pool_backward(h, branch.pooling, totals, dp_part)
         lg, dx = lstm_mod.batch_backward_docs(part_run, up, want_input_grad=want_emb)
         if want_emb:
             scatter_add_columns(emb_grad.block, slots, dx)
         grads.update(lstm_mod.gate_tensors(params, f"{prefix}.{tag}.", lg))
 
 
-def _pooled_forward(spec, docs, totals, tv_outs, chop_len, overlap):
-    """The (doc_dim, n_docs) top-layer input, plus per branch its outputs
-    and the run its backward pass consumes."""
-    layout = [(branch, *_branch_forward(branch, docs, tv_outs, chop_len, overlap))
-              for branch in spec.branches]
-    return np.concatenate([pool(h, b.pooling, totals) for b, h, _ in layout]), layout
+def _pooled_forward(spec, docs, totals, tv_outs, chop_len, overlap, for_backward):
+    """The (doc_dim, n_docs) top-layer input, plus per branch the parts its
+    backward pass consumes (see _branch_forward)."""
+    layout = [_branch_forward(branch, docs, totals, tv_outs, chop_len, overlap,
+                              for_backward) for branch in spec.branches]
+    return np.concatenate([p for p, _ in layout]), [parts for _, parts in layout]
 
 
 def _targets(labels, n_classes, encoding, dtype):
@@ -353,7 +370,8 @@ def batch_scores(spec: ModelSpec, docs, tv_outs=None) -> np.ndarray:
         hi = min(lo + SCORE_BLOCK, len(docs))
         block_tv = tv_outputs(spec, docs[lo:hi]) if tv_outs is None else \
             {tv_id: out[:, bounds[lo]:bounds[hi]] for tv_id, out in tv_outs.items()}
-        P, _ = _pooled_forward(spec, docs[lo:hi], totals[lo:hi], block_tv, None, 0)
+        P, _ = _pooled_forward(spec, docs[lo:hi], totals[lo:hi], block_tv, None, 0,
+                               for_backward=False)
         scores[:, lo:hi] = spec.top.w @ P + spec.top.b[:, None]
     return scores
 
@@ -365,7 +383,8 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     if tv_outs is None:
         tv_outs = tv_outputs(spec, docs)
     totals = [as_ids(doc).size for doc in docs]
-    P, layout = _pooled_forward(spec, docs, totals, tv_outs, chop_len, chop_overlap)
+    P, layout = _pooled_forward(spec, docs, totals, tv_outs, chop_len, chop_overlap,
+                                for_backward=True)
     dropped = P * dropout_masks if dropout_masks is not None else P
     scores = spec.top.w @ dropped + spec.top.b[:, None]
     y = _targets(labels, spec.n_classes, spec.target_encoding, scores.dtype)
@@ -377,9 +396,9 @@ def batch_forward_backward(spec: ModelSpec, docs, labels, *, chop_len=None,
     if dropout_masks is not None:
         dP = dP * dropout_masks
     rows = np.cumsum([b.out_dim * b.pooling.regions for b in spec.branches])
-    for bi, ((branch, h, run), dp) in enumerate(zip(layout, np.split(dP, rows[:-1]))):
-        dh = pool_backward(h, branch.pooling, totals, dp)
-        _branch_backward(branch, f"br{bi}", run, docs, dh, grads)
+    for bi, (branch, parts, dp) in enumerate(zip(spec.branches, layout,
+                                                 np.split(dP, rows[:-1]))):
+        _branch_backward(branch, f"br{bi}", parts, docs, totals, dp, grads)
     return loss, grads
 
 

@@ -104,9 +104,10 @@ class TvEmbedding:
             arr.flags.writeable = False
         return self
 
-    def outputs(self, ids_list, seg_len=None, overlap=0):
+    def outputs(self, ids_list, seg_len=None, overlap=0, for_backward=True):
         """The (dim, N) outputs of the documents side by side, aligned to
-        positions, plus the run that `gradients` consumes.
+        positions, plus the run that `gradients` consumes (None without
+        `for_backward`).
 
         LSTM form: h_t at every position, from one engine pass (read right
         to left for backward embeddings; chopped when seg_len is set).  CNN
@@ -116,9 +117,9 @@ class TvEmbedding:
         if self.kind == "lstm":
             return lstm_mod.batch_forward_docs(
                 self.lstm_params, [as_ids(doc) for doc in ids_list], None, seg_len,
-                overlap, reverse=self.direction == "backward")
+                overlap, reverse=self.direction == "backward", for_backward=for_backward)
         h, run = conv_mod.conv_forward(self.conv_params, ids_list)
-        return self._shift(h, run.totals, True), run
+        return self._shift(h, run.totals, True), run if for_backward else None
 
     def gradients(self, run, upstream) -> dict:
         """Gradients of sum of upstream . outputs, keyed like `tensors()`;
@@ -275,7 +276,7 @@ def _train(emb: TvEmbedding, unlabeled, spec: TvObjectiveSpec, cfg: TrainConfig,
         doc_idx = [kept[i] for i in take]
         targets_batch = [doc_targets[i] for i in doc_idx]
         h, run = emb.outputs([id_arrays[i] for i in doc_idx],
-                             cfg.chop_len, cfg.chop_overlap)
+                             cfg.chop_len, cfg.chop_overlap, for_backward=update)
         # the target positions as columns of the documents side by side
         offsets = np.cumsum([0] + [id_arrays[i].size for i in doc_idx])
         cols = np.concatenate([off + tgt.positions
@@ -346,7 +347,7 @@ def apply_tv(emb: TvEmbedding, docs) -> np.ndarray:
     out = np.empty((emb.dim, bounds[-1]), dtype=next(emb.tensors())[1].dtype)
     for lo in range(0, len(docs), SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, len(docs))
-        out[:, bounds[lo]:bounds[hi]] = emb.outputs(docs[lo:hi])[0]
+        out[:, bounds[lo]:bounds[hi]] = emb.outputs(docs[lo:hi], for_backward=False)[0]
     return out
 
 

@@ -344,6 +344,20 @@ class TestUsageErrors:
                          "--train", "x", "--train-labels", "y", "--out", "z")
         assert code == 1
 
+    @pytest.mark.parametrize("train", ["train.txt", "missing.txt"])
+    def test_dev_needs_dev_labels_before_any_file_is_read(self, corpus_files, capsys,
+                                                          train):
+        """The same command line is the same usage error whatever the data."""
+        out = corpus_files / "m.rgem"
+        code, stdout, err = run(
+            capsys, "train", "--arch", "oh-lstmp", "--units", "2",
+            "--train", str(corpus_files / train),
+            "--train-labels", str(corpus_files / "train.lab"),
+            "--dev", str(corpus_files / "test.txt"), "--out", str(out))
+        assert code == 1, err
+        assert err.startswith("error: --dev needs --dev-labels") and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
     def test_wv_arch_needs_vectors(self, corpus_files, capsys):
         code, _, err = run(
             capsys, "train", "--arch", "wv-lstm",

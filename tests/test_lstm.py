@@ -295,6 +295,20 @@ class TestEngineReproducesTheFixture:
         for key, arr in got.items():  # strict: shapes and dtypes match too
             np.testing.assert_array_equal(arr, want[key], err_msg=key, strict=True)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", sorted(ENGINE_RECIPE.CASES))
+    def test_outputs_of_a_pass_without_backward(self, case, dtype):
+        """A pass that keeps only what its outputs need (one reused c and
+        tanh(c) block) gives the fixture's outputs bit for bit, and no run."""
+        _, _, _, _, seg_len, overlap, reverse, _, held = ENGINE_RECIPE.CASES[case]
+        params, inputs, sides, _ = ENGINE_RECIPE.build(case, dtype)
+        out, run = batch_forward_docs(params, inputs, sides, seg_len, overlap,
+                                      GateOverride(*held), reverse, for_backward=False)
+        assert run is None
+        with np.load(self.DATA) as data:
+            want = data[f"{dtype}/{case}/out"]
+        np.testing.assert_array_equal(out, want, strict=True)
+
 
 def oracle_forward(p, inputs, sides, seg_len, overlap, reverse):
     """lstm_step loop over one document: the state resets at every segment

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,108 @@ class TestModelForward:
                                        rtol=1e-12, atol=1e-13)
         given = batch_scores(spec, docs, model_mod.tv_outputs(spec, docs))
         np.testing.assert_array_equal(given, scores)
+
+
+def two_tv_embeddings(rng, vocab=6):
+    """A frozen LSTM and a frozen bow-CNN embedding."""
+    lstm_tv = TvEmbedding(kind="lstm", dim=2, name="tvL", direction="backward",
+                          lstm_params=lstm_mod.LstmParams.create(
+                              "full", 2, vocab, "one-hot", rng, std=0.5)).freeze()
+    params = conv_mod.ConvParams.create(3, 3, "bow", vocab, rng, std=0.5)
+    cnn_tv = TvEmbedding(kind="cnn", dim=3, name="tvC", conv_params=params,
+                         region_size=3, align_offset=1).freeze()
+    return [lstm_tv, cnn_tv]
+
+
+def scoring_model(case):
+    rng = RngSpec(21).stream("init")
+    if case in ("bi-k3-max", "bi-k3-avg"):
+        return make_model(branches=[make_lstm_branch(
+            rng, units=4, pooling=PoolingSpec(case[-3:], 3))])
+    if case == "full-two-tv":
+        spec = make_model(branches=[make_lstm_branch(
+            rng, units=3, variant="full", pooling=PoolingSpec("max", 3))])
+        return attach_embeddings(spec, two_tv_embeddings(rng), rng)
+    if case == "multi":
+        spec = make_model(n_classes=3, branches=[
+            ConvBranch(PoolingSpec("max", 2), conv_mod.ConvParams.create(4, 3, "seq", 6, rng)),
+            make_lstm_branch(rng, units=3, pooling=PoolingSpec("avg", 2))])
+        return attach_embeddings(spec, two_tv_embeddings(rng), rng)
+    fwd, bwd = (lstm_mod.LstmParams.create("full", 3, 4, "dense", rng, std=0.5)
+                for _ in range(2))
+    return make_model(branches=[LstmBranch(
+        "bidirectional", PoolingSpec("max", 2), fwd, bwd,
+        embedding=0.5 * rng.standard_normal((4, 6)))])
+
+
+def concatenated_pooled_input(spec, docs):
+    """The top-layer input as the model built it before it pooled each part
+    on its own: every part runs with its backward state, the parts'
+    outputs are concatenated and the branch output is pooled once."""
+    totals = [doc.ids.size for doc in docs]
+    tv_outs = model_mod.tv_outputs(spec, docs)
+    pooled = []
+    for branch in spec.branches:
+        if isinstance(branch, ConvBranch):
+            h, _ = conv_mod.conv_forward(branch.params, docs,
+                                         [tv_outs[sp.tv_id] for sp in branch.params.side])
+        else:
+            inputs = [doc.ids if branch.embedding is None else branch.embedding[:, doc.ids]
+                      for doc in docs]
+            h = np.concatenate([lstm_mod.batch_forward_docs(
+                params, inputs, [tv_outs[sp.tv_id] for sp in params.side],
+                reverse=reverse)[0] for _, params, reverse in branch.parts()])
+        pooled.append(pool(h, branch.pooling, totals))
+    return np.concatenate(pooled)
+
+
+class TestScoringPass:
+    """Scoring runs each LSTM part without its backward state and pools it
+    before the next part runs; its scores are those of the training
+    forward pass, bit for bit."""
+
+    CASES = ["bi-k3-max", "bi-k3-avg", "full-two-tv", "multi", "wv-2lstmp"]
+
+    @pytest.mark.parametrize("block", [3, model_mod.SCORE_BLOCK])
+    @pytest.mark.parametrize("case", CASES)
+    def test_scores_equal_the_training_forward(self, monkeypatch, case, block):
+        monkeypatch.setattr(model_mod, "SCORE_BLOCK", block)
+        spec = scoring_model(case)
+        rng = np.random.default_rng(22)
+        docs = [TokenSequence(rng.integers(0, 6, size=n))
+                for n in (9, 0, 1, 2, 14, 5, 7, 3, 11, 4)]
+        want = np.empty((spec.n_classes, len(docs)))
+        for lo in range(0, len(docs), block):
+            part = docs[lo:lo + block]
+            P = concatenated_pooled_input(spec, part)
+            trained, _ = model_mod._pooled_forward(
+                spec, part, [d.ids.size for d in part], model_mod.tv_outputs(spec, part),
+                None, 0, for_backward=True)
+            np.testing.assert_array_equal(trained, P, strict=True)
+            want[:, lo:lo + block] = spec.top.w @ P + spec.top.b[:, None]
+        np.testing.assert_array_equal(batch_scores(spec, docs), want, strict=True)
+
+    def test_peak_memory_is_one_part_without_backward_state(self):
+        """tracemalloc sees numpy's allocations.  Scoring an oh-2lstmp model
+        holds at most one part's gate buffer and h (the gate buffer is
+        dropped before the outputs are gathered), plus 25%: keeping both
+        parts' runs, every step's c and tanh(c), or the gate buffer until
+        the outputs are gathered all exceed it."""
+        rng = RngSpec(23).stream("init")
+        spec = make_model(vocab=50, branches=[make_lstm_branch(rng, units=30, vocab=50)])
+        docs = [TokenSequence(np.random.default_rng(i).integers(0, 50, size=200))
+                for i in range(40)]
+        batch_scores(spec, docs[:2])  # one-time allocations outside the measure
+        fwd = spec.branches[0].fwd
+        n_pos, item = 40 * 200, fwd.wx.itemsize
+        gates, h = n_pos * fwd.wx.shape[0] * item, n_pos * fwd.units * item
+        tracemalloc.start()
+        try:
+            batch_scores(spec, docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (gates + h), (peak, gates, h)
 
 
 class TestErrorRate:
